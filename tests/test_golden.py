@@ -1,0 +1,52 @@
+"""Golden CLI outputs: the sha256 of the stdout bytes of fixed runs.
+
+The digests pin the exact output bytes, so a refactor that changes any
+formatted digit, row order or default value fails here. They change only
+when the output is meant to change.
+"""
+
+import hashlib
+
+import pytest
+
+from qpisde.cli import main
+
+CONVERGE_CONFIG = "# small converge run\nn_list = 4,8,16\npaths = 6\nschemes = qpi,em\nmu = -0.5\nseed = 3\n"
+
+GOLDEN = [
+    ("simulate-1-path", ["simulate", "--n", "64"], None,
+     "524c08b84d7479c6e4ebe6fbaf640ed2c1b9c548a8a781f901905fc3f08ac3fc"),
+    ("simulate-7-paths", ["simulate", "--n", "64", "--paths", "7"], None,
+     "22f51bca47c93eea0bc1893e5dd9b3722ee30fd9dd16f2ab7849227f80cc932c"),
+    ("simulate-milstein-paper", ["simulate", "--scheme", "milstein", "--milstein-sign", "paper"], None,
+     "cddd066d536e2ccbf6736e6c7ef12d350ba0fcc6be721fedf1cc531891b8fb2d"),
+    ("converge", ["converge", "--n-list", "4,16,64", "--paths", "20"], None,
+     "8b4ea8457ec712a02630c933edad2647f0ea0682922bb4ace460e4ba6e46e19c"),
+    ("converge-config", ["converge"], CONVERGE_CONFIG,
+     "0e51d73b6e29c7462cee1feb6af08ec2646868ed580aa1f3bfeef9fe3551b8d4"),
+    ("stability-csv", ["stability", "--grid", "30"], None,
+     "d85880066ef3641ecfbbe9b3467fb5ac6498c2035571ef68f27558bd0d3cad83"),
+    ("stability-svg", ["stability", "--grid", "30", "--scheme", "qpi-exact", "--format", "svg"], None,
+     "9fb487dd00cc304831ebd85169098c5b045e73d4b622989b6d09e4f7c634b8bf"),
+    ("stability-singular", ["stability", "--scheme", "iem", "--mu-range", "0:4",
+                            "--dt-range", "0.25:0.75", "--grid", "3"], None,
+     "ab7b61c6d6a70006279ec0dc70d4a0533bdb51bf11fc1b06d4dced8982d513a2"),
+    ("local-error", ["local-error", "--dt-list", "0.25,0.125", "--samples", "500"], None,
+     "6c76ba8cad9dd2f6169be4411456ccf10b85493d70a65cf18d6aed602d99130a"),
+]
+
+
+def stdout_digest(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,config,digest", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_stdout(argv, config, digest, tmp_path, capsys):
+    assert stdout_digest(argv, config, tmp_path, capsys) == digest
