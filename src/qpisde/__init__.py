@@ -5,17 +5,13 @@ experiments."""
 from .analysis import (ConvergenceTable, ErrorReport, LocalErrorReport,
                        convergence_study, error_norms, estimate_order,
                        local_error_study)
-from .brownian import (BrownianPath, coarsen, generate_path, mix_seed,
-                       node_values, path_to_csv)
+from .brownian import BrownianPath, coarsen, generate_path, mix_seed
 from .errors import (InvalidInputError, QpisdeError, SingularBlockError,
                      SingularStepError)
-from .model import (GbmParams, TimeGrid, Trajectory, diffusion, drift,
-                    exact_solution)
-from .schemes import (QpiBlockCoeffs, SchemeId, em_step, implicit_em_step,
-                      integrate, milstein_step, qpi_block_coeffs,
+from .model import GbmParams, TimeGrid, Trajectory, exact_solution
+from .schemes import (QpiBlockCoeffs, SchemeId, integrate, qpi_block_coeffs,
                       qpi_block_solve_oracle)
-from .stability import (RegionGrid, StabilityVerdict, evaluate_condition,
-                        iem_amplification, milstein_amplification,
+from .stability import (RegionGrid, iem_amplification, milstein_amplification,
                         qpi_exact_amplification, qpi_paper_lhs, region_scan,
                         region_to_csv, region_to_svg)
 
@@ -25,12 +21,9 @@ __all__ = [
     "BrownianPath", "ConvergenceTable", "ErrorReport", "GbmParams",
     "InvalidInputError", "LocalErrorReport", "QpiBlockCoeffs", "QpisdeError",
     "RegionGrid", "SchemeId", "SingularBlockError", "SingularStepError",
-    "StabilityVerdict", "TimeGrid", "Trajectory", "coarsen",
-    "convergence_study", "diffusion", "drift", "em_step", "error_norms",
-    "estimate_order", "evaluate_condition", "exact_solution", "generate_path",
-    "iem_amplification", "implicit_em_step", "integrate", "local_error_study",
-    "milstein_amplification", "milstein_step", "mix_seed", "node_values",
-    "path_to_csv", "qpi_block_coeffs", "qpi_block_solve_oracle",
-    "qpi_exact_amplification", "qpi_paper_lhs", "region_scan",
-    "region_to_csv", "region_to_svg",
+    "TimeGrid", "Trajectory", "coarsen", "convergence_study", "error_norms",
+    "estimate_order", "exact_solution", "generate_path", "iem_amplification",
+    "integrate", "local_error_study", "milstein_amplification", "mix_seed",
+    "qpi_block_coeffs", "qpi_block_solve_oracle", "qpi_exact_amplification",
+    "qpi_paper_lhs", "region_scan", "region_to_csv", "region_to_svg",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import _standard_normal, coarsen, generate_path, mix_seed, node_values
+from .brownian import _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
 from .model import GbmParams, TimeGrid, Trajectory, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
@@ -109,7 +109,7 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
         for n in n_list:
             p = coarsen(fine, n_max // n)
             grid = grids[n]
-            exact = exact_solution(params, grid, node_values(p))
+            exact = exact_solution(params, grid, p.nodes)
             for s in schemes:
                 approx = integrate(s, params, grid, p, milstein_sign=milstein_sign)
                 acc[(s, n)] += np.array(error_norms(exact, approx))

@@ -56,10 +56,6 @@ class BrownianPath:
     increments: np.ndarray
     nodes: np.ndarray
 
-    @property
-    def dt(self) -> float:
-        return self.t_end / self.n_fine
-
 
 def generate_path(seed: int, t_end: float, n_fine: int) -> BrownianPath:
     """Sample a seeded Wiener path with n_fine increments on [0, t_end]."""
@@ -90,17 +86,3 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
     return BrownianPath(seed=path.seed, t_end=path.t_end,
                         n_fine=path.n_fine // factor,
                         increments=np.diff(nodes), nodes=nodes)
-
-
-def node_values(path: BrownianPath) -> np.ndarray:
-    """Wiener values W(t_i) at the grid nodes, starting from W(0) = 0."""
-    return path.nodes
-
-
-def path_to_csv(path: BrownianPath) -> str:
-    """Serialize a path as `t,w` CSV at full double precision."""
-    times = np.linspace(0.0, path.t_end, path.n_fine + 1)
-    lines = ["t,w"]
-    for t, w in zip(times, path.nodes):
-        lines.append(f"{t:.17g},{w:.17g}")
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ Subcommands:
 Every subcommand is deterministic for fixed flags and seed. Flags override
 an optional `key=value` config file (--config), which overrides built-in
 defaults; the defaults mirror the reference experiment settings
-(mu=-1, sigma=0.5, x0=1, T=1).
+(mu=-1, sigma=0.5, x0=1, T=1). Config keys are the subcommand's long flag
+names; an unknown key or a value the flag would reject is an error.
 
 Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO failure.
 """
@@ -19,33 +20,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import analysis, brownian, stability
 from .errors import InvalidInputError, QpisdeError
 from .model import GbmParams, TimeGrid, exact_solution
 from .schemes import SchemeId, integrate
-
-DEFAULTS = {
-    "mu": -1.0,
-    "sigma": 0.5,
-    "x0": 1.0,
-    "t_end": 1.0,
-    "seed": 85,
-    "n": 256,
-    "scheme": "qpi",
-    "paths": 1,
-    "milstein_sign": "standard",
-    "n_list": "4,16,64,256,1024",
-    "schemes": "qpi,iem,milstein",
-    "converge_paths": 500,
-    "mu_range": "-4:1",
-    "dt_range": "0.01:1",
-    "grid": 100,
-    "stability_scheme": "qpi-paper",
-    "format": "csv",
-    "dt_list": "0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625",
-    "samples": 100000,
-    "output": "-",
-}
 
 
 def _load_config(path: str) -> dict:
@@ -63,32 +43,39 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, cast, default_key: str | None = None):
-    """Flag > config file > built-in default."""
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    if key in config:
-        return cast(config[key])
-    return cast(DEFAULTS[default_key or key])
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidInputError(f"expected a number, got {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
     items = [s for s in text.replace(" ", "").split(",") if s]
     if not items:
         raise InvalidInputError("expected a comma-separated list of numbers")
-    return [float(s) for s in items]
+    return [_number(s) for s in items]
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_floats(text)]
+    values = _parse_floats(text)
+    for v in values:
+        if not v.is_integer():
+            raise InvalidInputError(f"expected a list of integers, got {v:g}")
+    return [int(v) for v in values]
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise InvalidInputError(f"expected a range low:high, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _number(parts[0]), _number(parts[1])
+
+
+def _require_finite(values, what: str) -> None:
+    """Refuse to write output that overflowed to inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError(f"{what} overflowed to inf or nan; no output written")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -99,30 +86,23 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _gbm_params(args, config) -> GbmParams:
-    return GbmParams(mu=_resolve(args, config, "mu", float),
-                     sigma=_resolve(args, config, "sigma", float),
-                     x0=_resolve(args, config, "x0", float))
+def _gbm_params(args) -> GbmParams:
+    return GbmParams(mu=args.mu, sigma=args.sigma, x0=args.x0)
 
 
-def cmd_simulate(args, config) -> int:
-    params = _gbm_params(args, config)
-    t_end = _resolve(args, config, "t_end", float)
-    n = _resolve(args, config, "n", int)
-    scheme = SchemeId.parse(_resolve(args, config, "scheme", str))
-    seed = _resolve(args, config, "seed", int)
-    n_paths = _resolve(args, config, "paths", int)
-    sign = _resolve(args, config, "milstein_sign", str)
+def cmd_simulate(args) -> int:
+    params = _gbm_params(args)
+    t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
+    scheme = SchemeId.parse(args.scheme)
     if n_paths < 1:
         raise InvalidInputError(f"--paths must be >= 1, got {n_paths}")
     grid = TimeGrid(t_end=t_end, n_steps=n)
-    if scheme is SchemeId.QPI:
-        grid.require_even()
 
     if n_paths == 1:
         path = brownian.generate_path(brownian.mix_seed(seed, 0), t_end, n)
-        exact = exact_solution(params, grid, brownian.node_values(path))
-        approx = integrate(scheme, params, grid, path, milstein_sign=sign)
+        exact = exact_solution(params, grid, path.nodes)
+        approx = integrate(scheme, params, grid, path, milstein_sign=args.milstein_sign)
+        _require_finite([exact.values, approx.values], "simulated trajectory")
         lines = ["t,exact,approx"]
         for t, e, a in zip(grid.times, exact.values, approx.values):
             lines.append(f"{t:.17g},{e:.17g},{a:.17g}")
@@ -130,62 +110,53 @@ def cmd_simulate(args, config) -> int:
         trajectories = []
         for k in range(n_paths):
             path = brownian.generate_path(brownian.mix_seed(seed, k), t_end, n)
-            trajectories.append(integrate(scheme, params, grid, path, milstein_sign=sign))
+            trajectories.append(integrate(scheme, params, grid, path,
+                                          milstein_sign=args.milstein_sign))
+        _require_finite([tr.values for tr in trajectories], "simulated trajectory")
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
         lines = [header]
         for i, t in enumerate(grid.times):
             row = ",".join(f"{tr.values[i]:.17g}" for tr in trajectories)
             lines.append(f"{t:.17g},{row}")
-    _write_output(_resolve(args, config, "output", str), "\n".join(lines) + "\n")
+    _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_converge(args, config) -> int:
-    params = _gbm_params(args, config)
-    t_end = _resolve(args, config, "t_end", float)
-    n_list = _parse_ints(_resolve(args, config, "n_list", str))
-    schemes = [SchemeId.parse(s) for s in _resolve(args, config, "schemes", str).split(",")]
-    n_paths = _resolve(args, config, "paths", int, default_key="converge_paths")
-    seed = _resolve(args, config, "seed", int)
-    sign = _resolve(args, config, "milstein_sign", str)
-    table = analysis.convergence_study(schemes, params, n_list, n_paths, seed,
-                                       t_end=t_end, milstein_sign=sign)
-    _write_output(_resolve(args, config, "output", str), table.to_csv())
+def cmd_converge(args) -> int:
+    schemes = [SchemeId.parse(s) for s in args.schemes.split(",")]
+    table = analysis.convergence_study(schemes, _gbm_params(args), _parse_ints(args.n_list),
+                                       args.paths, args.seed, t_end=args.t_end,
+                                       milstein_sign=args.milstein_sign)
+    _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
+    _write_output(args.output, table.to_csv())
     return 0
 
 
-def cmd_stability(args, config) -> int:
-    sigma = _resolve(args, config, "sigma", float)
-    condition = _resolve(args, config, "scheme", str, default_key="stability_scheme")
-    mu_range = _parse_range(_resolve(args, config, "mu_range", str))
-    dt_range = _parse_range(_resolve(args, config, "dt_range", str))
-    resolution = _resolve(args, config, "grid", int)
-    fmt = _resolve(args, config, "format", str)
-    if fmt not in ("csv", "svg"):
-        raise InvalidInputError(f"--format must be csv or svg, got {fmt!r}")
-    grid = stability.region_scan(condition, sigma, mu_range, dt_range, resolution)
-    text = stability.region_to_csv(grid) if fmt == "csv" else stability.region_to_svg(grid)
-    _write_output(_resolve(args, config, "output", str), text)
+def cmd_stability(args) -> int:
+    mu_range, dt_range = _parse_range(args.mu_range), _parse_range(args.dt_range)
+    if args.format not in ("csv", "svg"):
+        raise InvalidInputError(f"--format must be csv or svg, got {args.format!r}")
+    grid = stability.region_scan(args.scheme, args.sigma, mu_range, dt_range, args.grid)
+    text = stability.region_to_csv(grid) if args.format == "csv" else stability.region_to_svg(grid)
+    _write_output(args.output, text)
     return 0
 
 
-def cmd_local_error(args, config) -> int:
-    params = _gbm_params(args, config)
-    dt_list = _parse_floats(_resolve(args, config, "dt_list", str))
-    samples = _resolve(args, config, "samples", int)
-    seed = _resolve(args, config, "seed", int)
-    report = analysis.local_error_study(params, dt_list, samples, seed)
-    _write_output(_resolve(args, config, "output", str), report.to_csv())
+def cmd_local_error(args) -> int:
+    report = analysis.local_error_study(_gbm_params(args), _parse_floats(args.dt_list),
+                                        args.samples, args.seed)
+    _require_finite(report.mean_sq, "local error")
+    _write_output(args.output, report.to_csv())
     return 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file (flags take precedence)")
-    p.add_argument("--mu", type=float, help=f"drift (default {DEFAULTS['mu']})")
-    p.add_argument("--sigma", type=float, help=f"volatility (default {DEFAULTS['sigma']})")
-    p.add_argument("--x0", type=float, help=f"initial value (default {DEFAULTS['x0']})")
-    p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULTS['seed']})")
-    p.add_argument("--output", "-o", help="output file ('-' for stdout, the default)")
+    p.add_argument("--mu", type=float, default=-1.0, help="drift (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=0.5, help="volatility (default %(default)s)")
+    p.add_argument("--x0", type=float, default=1.0, help="initial value (default %(default)s)")
+    p.add_argument("--seed", type=int, default=85, help="master seed (default %(default)s)")
+    p.add_argument("--output", "-o", default="-", help="output file ('-' for stdout, the default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,39 +168,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate trajectories and dump them as CSV")
     _add_common(p)
-    p.add_argument("--t-end", type=float, dest="t_end", help=f"horizon T (default {DEFAULTS['t_end']})")
-    p.add_argument("--n", type=int, help=f"number of steps (default {DEFAULTS['n']})")
-    p.add_argument("--scheme", help=f"qpi|em|iem|milstein (default {DEFAULTS['scheme']})")
-    p.add_argument("--paths", type=int, help=f"number of paths (default {DEFAULTS['paths']})")
+    p.add_argument("--t-end", type=float, dest="t_end", default=1.0, help="horizon T (default %(default)s)")
+    p.add_argument("--n", type=int, default=256, help="number of steps (default %(default)s)")
+    p.add_argument("--scheme", default="qpi", help="qpi|em|iem|milstein (default %(default)s)")
+    p.add_argument("--paths", type=int, default=1, help="number of paths (default %(default)s)")
     p.add_argument("--milstein-sign", dest="milstein_sign", choices=("standard", "paper"),
-                   help=f"Milstein correction sign (default {DEFAULTS['milstein_sign']})")
+                   default="standard", help="Milstein correction sign (default %(default)s)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("converge", help="strong-convergence error table as CSV")
     _add_common(p)
-    p.add_argument("--t-end", type=float, dest="t_end", help=f"horizon T (default {DEFAULTS['t_end']})")
-    p.add_argument("--n-list", dest="n_list", help=f"comma list of step counts (default {DEFAULTS['n_list']})")
-    p.add_argument("--schemes", help=f"comma list of schemes (default {DEFAULTS['schemes']})")
-    p.add_argument("--paths", type=int, help=f"Monte Carlo paths (default {DEFAULTS['converge_paths']})")
+    p.add_argument("--t-end", type=float, dest="t_end", default=1.0, help="horizon T (default %(default)s)")
+    p.add_argument("--n-list", dest="n_list", default="4,16,64,256,1024",
+                   help="comma list of step counts (default %(default)s)")
+    p.add_argument("--schemes", default="qpi,iem,milstein",
+                   help="comma list of schemes (default %(default)s)")
+    p.add_argument("--paths", type=int, default=500, help="Monte Carlo paths (default %(default)s)")
     p.add_argument("--milstein-sign", dest="milstein_sign", choices=("standard", "paper"),
-                   help=f"Milstein correction sign (default {DEFAULTS['milstein_sign']})")
+                   default="standard", help="Milstein correction sign (default %(default)s)")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("stability", help="stability-region scan as CSV or SVG")
     _add_common(p)
-    p.add_argument("--scheme", help="qpi-paper|qpi-exact|iem|milstein "
-                                    f"(default {DEFAULTS['stability_scheme']})")
-    p.add_argument("--mu-range", dest="mu_range", help=f"low:high (default {DEFAULTS['mu_range']})")
-    p.add_argument("--dt-range", dest="dt_range", help=f"low:high (default {DEFAULTS['dt_range']})")
-    p.add_argument("--grid", type=int, help=f"samples per axis (default {DEFAULTS['grid']})")
-    p.add_argument("--format", choices=("csv", "svg"), help=f"output format (default {DEFAULTS['format']})")
+    p.add_argument("--scheme", default="qpi-paper",
+                   help="qpi-paper|qpi-exact|iem|milstein (default %(default)s)")
+    p.add_argument("--mu-range", dest="mu_range", default="-4:1", help="low:high (default %(default)s)")
+    p.add_argument("--dt-range", dest="dt_range", default="0.01:1", help="low:high (default %(default)s)")
+    p.add_argument("--grid", type=int, default=100, help="samples per axis (default %(default)s)")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv",
+                   help="output format (default %(default)s)")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("local-error", help="one-block mean-square error vs dt as CSV")
     _add_common(p)
-    p.add_argument("--dt-list", dest="dt_list", help=f"comma list of dt values, descending "
-                                                     f"(default {DEFAULTS['dt_list']})")
-    p.add_argument("--samples", type=int, help=f"samples per dt (default {DEFAULTS['samples']})")
+    p.add_argument("--dt-list", dest="dt_list",
+                   default="0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625",
+                   help="comma list of dt values, descending (default %(default)s)")
+    p.add_argument("--samples", type=int, default=100000, help="samples per dt (default %(default)s)")
     p.set_defaults(func=cmd_local_error)
     return parser
 
@@ -250,14 +225,31 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
     return out
 
 
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]) -> argparse.Namespace:
+    """Parse argv again with the config file's values as the subcommand's
+    defaults, so flags still win and each value goes through its flag's type."""
+    config = _load_config(args.config)
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
+    if unknown:
+        raise InvalidInputError(
+            f"{args.config}: unknown key(s) for {args.command}: {', '.join(unknown)}")
+    # argparse keeps no public handle on a subcommand's parser
+    (subparsers,) = parser._subparsers._group_actions
+    subparsers.choices[args.command].set_defaults(**config)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_range_flags(list(argv)))
+    argv = _merge_range_flags(sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        if args.config:
+            args = _apply_config(parser, args, argv)
+        # overflow is reported once, by the commands' finite-output checks
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except QpisdeError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -45,6 +45,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise InvalidInputError(f"t_end must be positive and finite, got {self.t_end}")
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise InvalidInputError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise InvalidInputError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -77,16 +79,6 @@ class Trajectory:
             )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-
-def drift(params: GbmParams, x: float) -> float:
-    """Drift coefficient mu*x."""
-    return params.mu * x
-
-
-def diffusion(params: GbmParams, x: float) -> float:
-    """Diffusion coefficient sigma*x."""
-    return params.sigma * x
 
 
 def exact_solution(params: GbmParams, grid: TimeGrid, w_values) -> Trajectory:

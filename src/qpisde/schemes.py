@@ -48,51 +48,22 @@ class QpiBlockCoeffs:
     beta: float
 
 
-def em_step(params: GbmParams, dt: float, x: float, dW: float) -> float:
-    """Euler-Maruyama update x + mu*x*dt + sigma*x*dW."""
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    return x * (1.0 + params.mu * dt + params.sigma * dW)
-
-
-def implicit_em_step(params: GbmParams, dt: float, x: float, dW: float) -> float:
-    """Drift-implicit EM update, the solution of X' = x + mu*X'*dt + sigma*x*dW."""
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    den = 1.0 - params.mu * dt
-    if den == 0.0:
-        raise SingularStepError(f"implicit EM step singular: mu*dt = 1 (mu={params.mu}, dt={dt})")
-    return x * (1.0 + params.sigma * dW) / den
-
-
-def milstein_step(params: GbmParams, dt: float, x: float, dW: float,
-                  sign_convention: str = "standard") -> float:
-    """Milstein update with the second-order noise correction.
-
-    sign_convention selects the sign of the (sigma^2/2)(dW^2 - dt) term:
-    "standard" adds it, "paper" subtracts it (the sign as printed in the
-    source the comparison tables follow).
-    """
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    if sign_convention not in ("standard", "paper"):
-        raise InvalidInputError(f"sign_convention must be 'standard' or 'paper', got {sign_convention!r}")
-    sign = 1.0 if sign_convention == "standard" else -1.0
-    corr = 0.5 * params.sigma**2 * (dW * dW - dt)
-    return x * (1.0 + params.mu * dt + params.sigma * dW + sign * corr)
-
-
 def _qpi_denominators(h):
-    """Denominators D = 1 - h + h^2/3 and E = 1 - h/3 of the block coefficients."""
-    return 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
+    """Denominators D = 1 - h + h^2/3 and E = 1 - h/3 of the block coefficients.
+
+    h = mu*dt may be a scalar or an array; raises SingularBlockError where
+    either denominator vanishes.
+    """
+    d1, d2 = 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
+    if np.logical_or(d1 == 0.0, d2 == 0.0).any():
+        raise SingularBlockError(f"block system singular for mu*dt = {h}")
+    return d1, d2
 
 
 def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb):
     """Vectorized closed-form block multipliers; dWa, dWb may be arrays."""
     h = mu * dt
     d1, d2 = _qpi_denominators(h)
-    if d1 == 0.0 or d2 == 0.0:
-        raise SingularBlockError(f"block system singular for mu*dt = {h}")
     dWab = dWa + dWb
     alpha = (1.0 - h * h / 6.0 - sigma * (h / 12.0) * dWab
              + sigma * (1.0 - h / 3.0) * dWa) / d1
@@ -127,9 +98,7 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
         raise InvalidInputError(f"dt must be positive, got {dt}")
     h = params.mu * dt
     s = params.sigma
-    d1, d2 = _qpi_denominators(h)
-    if d1 == 0.0 or d2 == 0.0:
-        raise SingularBlockError(f"block system singular for mu*dt = {h}")
+    _qpi_denominators(h)  # singularity guard only; the solve below is independent
     m = np.array([[1.0 - 2.0 * h / 3.0, h / 12.0],
                   [-4.0 * h / 3.0, 1.0 - h / 3.0]])
     rhs = np.array([1.0 + 5.0 * h / 12.0 + s * dWa,

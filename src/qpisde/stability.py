@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularStepError
-
-CONDITIONS = ("qpi-paper", "qpi-exact", "iem", "milstein")
+from .schemes import _qpi_denominators
 
 
 def qpi_paper_lhs(mu: float, sigma: float, dt: float):
@@ -30,10 +29,7 @@ def qpi_paper_lhs(mu: float, sigma: float, dt: float):
     """
     h = np.asarray(mu, dtype=float) * dt
     s2 = sigma * sigma
-    d1 = 1.0 - h + h * h / 3.0
-    d2 = 1.0 - h / 3.0
-    if np.any(d1 == 0.0) or np.any(d2 == 0.0):
-        raise SingularStepError(f"stability quotient singular for mu*dt = {h}")
+    d1, d2 = _qpi_denominators(h)
     a1 = 1.0 + 2.0 * h / 3.0 - h**3 / 9.0
     a2 = 1.0 - h + 2.0 * h * h / 9.0
     a3 = (4.0 * h / 3.0) * d2
@@ -53,10 +49,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
     """
     h = np.asarray(mu, dtype=float) * dt
     s = sigma
-    d1 = 1.0 - h + h * h / 3.0
-    d2 = 1.0 - h / 3.0
-    if np.any(d1 == 0.0) or np.any(d2 == 0.0):
-        raise SingularStepError(f"amplification singular for mu*dt = {h}")
+    d1, d2 = _qpi_denominators(h)
     a0 = (1.0 - h * h / 6.0) / d1
     a1 = s * (1.0 - 5.0 * h / 12.0) / d1
     a2 = -s * h / (12.0 * d1)
@@ -77,8 +70,7 @@ def iem_amplification(mu: float, sigma: float, dt: float):
     return float(out) if np.isscalar(mu) else out
 
 
-def milstein_amplification(mu: float, sigma: float, dt: float,
-                           sign_convention: str = "standard"):
+def milstein_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of Milstein.
 
     Identical for both sign conventions: the correction term is orthogonal
@@ -86,20 +78,9 @@ def milstein_amplification(mu: float, sigma: float, dt: float,
     """
     if dt <= 0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
-    if sign_convention not in ("standard", "paper"):
-        raise InvalidInputError(
-            f"sign_convention must be 'standard' or 'paper', got {sign_convention!r}")
     h = np.asarray(mu, dtype=float) * dt
     out = (1.0 + h)**2 + sigma * sigma * dt + 0.5 * sigma**4 * dt * dt
     return float(out) if np.isscalar(mu) else out
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Condition value and the stable/unstable call (stable iff lhs < 1)."""
-
-    lhs: float
-    stable: bool
 
 
 @dataclass(frozen=True)
@@ -126,15 +107,6 @@ _CONDITION_FNS = {
 }
 
 
-def evaluate_condition(condition: str, mu: float, sigma: float, dt: float) -> StabilityVerdict:
-    """Evaluate one named condition at a single (mu, dt) point."""
-    if condition not in _CONDITION_FNS:
-        raise InvalidInputError(
-            f"unknown condition {condition!r}; expected one of {', '.join(CONDITIONS)}")
-    lhs = _CONDITION_FNS[condition](mu, sigma, dt)
-    return StabilityVerdict(lhs=lhs, stable=bool(lhs < 1.0))
-
-
 def region_scan(condition: str, sigma: float, mu_range, dt_range,
                 resolution: int) -> RegionGrid:
     """Scan the stability condition over a rectangle of the (mu, dt) plane.
@@ -145,7 +117,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     """
     if condition not in _CONDITION_FNS:
         raise InvalidInputError(
-            f"unknown condition {condition!r}; expected one of {', '.join(CONDITIONS)}")
+            f"unknown condition {condition!r}; expected one of {', '.join(_CONDITION_FNS)}")
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     dt_lo, dt_hi = float(dt_range[0]), float(dt_range[1])
     if not (mu_lo < mu_hi and dt_lo < dt_hi):

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from qpisde import (BrownianPath, InvalidInputError, coarsen, generate_path,
-                    mix_seed, node_values, path_to_csv)
+                    mix_seed)
 
 
 def path_from_increments(increments, t_end=1.0):
@@ -61,7 +61,7 @@ def test_coarsen_identity():
 def test_coarsen_preserves_endpoint_exactly():
     p = generate_path(9, 1.0, 64)
     for f in (2, 4, 8, 16):
-        assert node_values(coarsen(p, f))[-1] == node_values(p)[-1]
+        assert coarsen(p, f).nodes[-1] == p.nodes[-1]
 
 
 def test_coarsen_composition_exact():
@@ -77,7 +77,7 @@ def test_coarsen_node_restriction_exact():
     p = generate_path(17, 1.0, 96)
     for f in (2, 3, 4, 6, 8):
         c = coarsen(p, f)
-        assert np.array_equal(node_values(c), node_values(p)[::f])
+        assert np.array_equal(c.nodes, p.nodes[::f])
 
 
 def test_coarsen_invalid_factor():
@@ -89,13 +89,13 @@ def test_coarsen_invalid_factor():
 
 
 def test_node_values_examples():
-    assert np.array_equal(node_values(path_from_increments([0.5])), [0.0, 0.5])
-    nv = node_values(path_from_increments([0.1, -0.1]))
+    assert np.array_equal(path_from_increments([0.5]).nodes, [0.0, 0.5])
+    nv = path_from_increments([0.1, -0.1]).nodes
     assert nv[0] == 0.0
     assert nv == pytest.approx([0.0, 0.1, 0.0], abs=1e-16)
     degenerate = BrownianPath(seed=0, t_end=1.0, n_fine=0,
                               increments=np.array([]), nodes=np.array([0.0]))
-    assert np.array_equal(node_values(degenerate), [0.0])
+    assert np.array_equal(degenerate.nodes, [0.0])
 
 
 def test_generate_validation():
@@ -119,15 +119,3 @@ def test_mix_seed_paths_independent():
     b = generate_path(mix_seed(0, 1), 1.0, 1000)
     r = np.corrcoef(a.increments, b.increments)[0, 1]
     assert abs(r) < 0.1
-
-
-def test_path_to_csv():
-    p = generate_path(3, 1.0, 4)
-    text = path_to_csv(p)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,w"
-    assert len(lines) == 6
-    t0, w0 = lines[1].split(",")
-    assert float(t0) == 0.0 and float(w0) == 0.0
-    # full round-trip precision
-    assert float(lines[-1].split(",")[1]) == p.nodes[-1]

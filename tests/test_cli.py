@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,46 @@ class TestConfigAndHelp:
 
     def test_unknown_scheme(self, capsys):
         assert run(["simulate", "--scheme", "rk4", "--n", "8"]) == 2
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv,config,named", [
+        (["converge", "--n-list", "4,16,abc", "--paths", "2"], None, "abc"),
+        (["converge", "--n-list", "4.6,16", "--paths", "2"], None, "4.6"),
+        (["stability", "--mu-range", "a:b", "--grid", "3"], None, "'a'"),
+        (["simulate", "--n", "4"], "mu=abc\n", "abc"),
+        (["simulate"], "nn=4\n", "nn"),
+    ], ids=["n-list-word", "n-list-fraction", "range-word", "config-word", "config-unknown-key"])
+    def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert exit_code(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mu", "1e308", "--n", "4"],
+        ["simulate", "--mu", "1e308", "--n", "4", "--paths", "2"],
+        ["converge", "--mu", "1e308", "--n-list", "2,4", "--paths", "2"],
+        ["local-error", "--mu", "1e308", "--dt-list", "0.5,0.25", "--samples", "10"],
+    ], ids=["simulate", "simulate-paths", "converge", "local-error"])
+    def test_non_finite_output_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert exit_code(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "inf or nan" in err and err.count("\n") == 1
+        assert not out.exists()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, InvalidInputError, TimeGrid, diffusion, drift,
-                    exact_solution, generate_path, node_values)
+from qpisde import (GbmParams, InvalidInputError, TimeGrid, exact_solution,
+                    generate_path)
 
 
 def test_initial_condition():
@@ -38,12 +38,6 @@ def test_length_mismatch_raises():
         exact_solution(p, grid, [0.0, 0.1, 0.2])
 
 
-def test_drift_diffusion_linear():
-    assert drift(GbmParams(mu=-1.0, sigma=0.5), 2.0) == -2.0
-    assert diffusion(GbmParams(mu=-1.0, sigma=0.5), 4.0) == 2.0
-    assert drift(GbmParams(mu=0.0, sigma=1.0), 123.4) == 0.0
-
-
 def test_zero_volatility_matches_exponential():
     p = GbmParams(mu=0.7, sigma=0.0, x0=2.0)
     grid = TimeGrid(t_end=2.0, n_steps=16)
@@ -55,7 +49,7 @@ def test_zero_volatility_matches_exponential():
 
 def test_multiplicative_in_x0():
     grid = TimeGrid(t_end=1.0, n_steps=32)
-    w = node_values(generate_path(3, 1.0, 32))
+    w = generate_path(3, 1.0, 32).nodes
     a = exact_solution(GbmParams(mu=-1.0, sigma=0.5, x0=1.0), grid, w)
     b = exact_solution(GbmParams(mu=-1.0, sigma=0.5, x0=2.0), grid, w)
     assert np.array_equal(b.values, 2.0 * a.values)
@@ -63,7 +57,7 @@ def test_multiplicative_in_x0():
 
 def test_strictly_positive_for_positive_x0():
     grid = TimeGrid(t_end=1.0, n_steps=64)
-    w = node_values(generate_path(11, 1.0, 64))
+    w = generate_path(11, 1.0, 64).nodes
     traj = exact_solution(GbmParams(mu=1.0, sigma=2.0, x0=0.5), grid, w)
     assert np.all(traj.values > 0)
 
@@ -79,8 +73,15 @@ def test_param_validation():
         TimeGrid(t_end=1.0, n_steps=0)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 4.0, "4", None])
+def test_grid_rejects_non_integer_steps(n_steps):
+    with pytest.raises(InvalidInputError, match="integer"):
+        TimeGrid(t_end=1.0, n_steps=n_steps)
+
+
 def test_grid_consistency():
-    grid = TimeGrid(t_end=2.5, n_steps=10)
-    assert grid.dt * grid.n_steps == pytest.approx(grid.t_end, rel=1e-15)
-    t = grid.times
-    assert t[0] == 0.0 and t[-1] == 2.5 and np.all(np.diff(t) > 0)
+    for n_steps in (10, np.int64(10)):
+        grid = TimeGrid(t_end=2.5, n_steps=n_steps)
+        assert grid.dt * grid.n_steps == pytest.approx(grid.t_end, rel=1e-15)
+        t = grid.times
+        assert t[0] == 0.0 and t[-1] == 2.5 and np.all(np.diff(t) > 0)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from qpisde import (BrownianPath, GbmParams, InvalidInputError, SchemeId,
-                    SingularBlockError, SingularStepError, TimeGrid, em_step,
-                    exact_solution, generate_path, implicit_em_step, integrate,
-                    milstein_step, mix_seed, node_values, qpi_block_coeffs,
-                    qpi_block_solve_oracle)
+                    SingularBlockError, SingularStepError, TimeGrid,
+                    exact_solution, generate_path, integrate, mix_seed,
+                    qpi_block_coeffs, qpi_block_solve_oracle)
 
 P = GbmParams(mu=-1.0, sigma=0.5)
 
@@ -15,6 +14,19 @@ P = GbmParams(mu=-1.0, sigma=0.5)
 def zero_noise_path(n, t_end=1.0):
     return BrownianPath(seed=0, t_end=t_end, n_fine=n,
                         increments=np.zeros(n), nodes=np.zeros(n + 1))
+
+
+def one_step(scheme, params, dt, x, dw, milstein_sign="standard"):
+    """State after one step of size dt from x, through integrate on a one-step grid."""
+    path = BrownianPath(seed=0, t_end=dt, n_fine=1, increments=np.array([dw]),
+                        nodes=np.array([0.0, dw]))
+    start = GbmParams(mu=params.mu, sigma=params.sigma, x0=x)
+    traj = integrate(scheme, start, TimeGrid(t_end=dt, n_steps=1), path,
+                     milstein_sign=milstein_sign)
+    return traj.values[1]
+
+
+EM, IEM, MIL = SchemeId.EULER_MARUYAMA, SchemeId.IMPLICIT_EM, SchemeId.MILSTEIN
 
 
 class TestSchemeId:
@@ -32,48 +44,48 @@ class TestSchemeId:
 
 class TestSteps:
     def test_em_hand_value(self):
-        assert em_step(P, 0.1, 1.0, 0.2) == pytest.approx(1.0, rel=1e-15)
+        assert one_step(EM, P, 0.1, 1.0, 0.2) == pytest.approx(1.0, rel=1e-15)
 
     def test_em_deterministic(self):
-        assert em_step(GbmParams(mu=0.3, sigma=2.0), 0.1, 2.0, 0.0) == \
+        assert one_step(EM, GbmParams(mu=0.3, sigma=2.0), 0.1, 2.0, 0.0) == \
             pytest.approx(2.0 * 1.03, rel=1e-15)
 
     def test_em_identity(self):
-        assert em_step(GbmParams(mu=0.0, sigma=0.0), 0.5, 3.0, 0.7) == 3.0
+        assert one_step(EM, GbmParams(mu=0.0, sigma=0.0), 0.5, 3.0, 0.7) == 3.0
 
     def test_iem_hand_value(self):
-        assert implicit_em_step(P, 0.1, 1.0, 0.2) == pytest.approx(1.0, rel=1e-15)
+        assert one_step(IEM, P, 0.1, 1.0, 0.2) == pytest.approx(1.0, rel=1e-15)
 
     def test_iem_reduces_to_em_at_zero_drift(self):
         p = GbmParams(mu=0.0, sigma=0.5)
-        assert implicit_em_step(p, 0.1, 1.0, 0.2) == em_step(p, 0.1, 1.0, 0.2)
+        assert one_step(IEM, p, 0.1, 1.0, 0.2) == one_step(EM, p, 0.1, 1.0, 0.2)
 
     def test_iem_deterministic_halving(self):
-        assert implicit_em_step(GbmParams(mu=-1.0, sigma=0.0), 1.0, 4.0, 0.0) == 2.0
+        assert one_step(IEM, GbmParams(mu=-1.0, sigma=0.0), 1.0, 4.0, 0.0) == 2.0
 
     def test_iem_singular(self):
         with pytest.raises(SingularStepError):
-            implicit_em_step(GbmParams(mu=2.0, sigma=0.5), 0.5, 1.0, 0.0)
+            one_step(IEM, GbmParams(mu=2.0, sigma=0.5), 0.5, 1.0, 0.0)
 
     def test_milstein_standard(self):
-        assert milstein_step(P, 0.1, 1.0, 0.2, "standard") == \
+        assert one_step(MIL, P, 0.1, 1.0, 0.2, "standard") == \
             pytest.approx(0.9925, rel=1e-12)
 
     def test_milstein_paper_sign(self):
-        assert milstein_step(P, 0.1, 1.0, 0.2, "paper") == \
+        assert one_step(MIL, P, 0.1, 1.0, 0.2, "paper") == \
             pytest.approx(1.0075, rel=1e-12)
 
     def test_milstein_conventions_coincide_when_correction_vanishes(self):
         dt = 0.3
         dw = math.sqrt(dt)
-        std = milstein_step(P, dt, 2.0, dw, "standard")
-        pap = milstein_step(P, dt, 2.0, dw, "paper")
+        std = one_step(MIL, P, dt, 2.0, dw, "standard")
+        pap = one_step(MIL, P, dt, 2.0, dw, "paper")
         assert std == pytest.approx(pap, rel=1e-14)
-        assert std == pytest.approx(em_step(P, dt, 2.0, dw), rel=1e-14)
+        assert std == pytest.approx(one_step(EM, P, dt, 2.0, dw), rel=1e-14)
 
     def test_milstein_rejects_bad_convention(self):
         with pytest.raises(InvalidInputError):
-            milstein_step(P, 0.1, 1.0, 0.2, "flipped")
+            one_step(MIL, P, 0.1, 1.0, 0.2, "flipped")
 
 
 class TestQpiBlock:
@@ -165,11 +177,10 @@ class TestIntegrate:
         assert np.all(traj.values == 2.5)
 
     def test_qpi_close_to_exact_on_default_seed(self):
-        from qpisde.cli import DEFAULTS
         p = GbmParams(mu=-1.0, sigma=0.5)
         grid = TimeGrid(t_end=1.0, n_steps=256)
-        path = generate_path(mix_seed(DEFAULTS["seed"], 0), 1.0, 256)
-        exact = exact_solution(p, grid, node_values(path))
+        path = generate_path(mix_seed(85, 0), 1.0, 256)
+        exact = exact_solution(p, grid, path.nodes)
         approx = integrate(SchemeId.QPI, p, grid, path)
         assert np.max(np.abs(exact.values - approx.values)) < 5e-3
 
@@ -209,7 +220,8 @@ class TestIntegrate:
         grid = TimeGrid(t_end=1.0, n_steps=3)
         path = generate_path(41, 1.0, 3)
         traj = integrate(SchemeId.MILSTEIN, P, grid, path)
+        dt = grid.dt
         x = P.x0
         for i, dw in enumerate(path.increments):
-            x = milstein_step(P, grid.dt, x, dw)
+            x = x * (1.0 + P.mu * dt + P.sigma * dw + 0.5 * P.sigma**2 * (dw * dw - dt))
             assert traj.values[i + 1] == pytest.approx(x, rel=1e-13)
