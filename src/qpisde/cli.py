@@ -93,6 +93,7 @@ def _gbm_params(args) -> GbmParams:
 def cmd_simulate(args) -> int:
     params = _gbm_params(args)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
+    sign = args.milstein_sign
     scheme = SchemeId.parse(args.scheme)
     if n_paths < 1:
         raise InvalidInputError(f"--paths must be >= 1, got {n_paths}")
@@ -101,7 +102,7 @@ def cmd_simulate(args) -> int:
     if n_paths == 1:
         path = brownian.generate_path(brownian.mix_seed(seed, 0), t_end, n)
         exact = exact_solution(params, grid, path.nodes)
-        approx = integrate(scheme, params, grid, path, milstein_sign=args.milstein_sign)
+        approx = integrate(scheme, params, grid, path, milstein_sign=sign)
         _require_finite([exact.values, approx.values], "simulated trajectory")
         lines = ["t,exact,approx"]
         for t, e, a in zip(grid.times, exact.values, approx.values):
@@ -110,8 +111,7 @@ def cmd_simulate(args) -> int:
         trajectories = []
         for k in range(n_paths):
             path = brownian.generate_path(brownian.mix_seed(seed, k), t_end, n)
-            trajectories.append(integrate(scheme, params, grid, path,
-                                          milstein_sign=args.milstein_sign))
+            trajectories.append(integrate(scheme, params, grid, path, milstein_sign=sign))
         _require_finite([tr.values for tr in trajectories], "simulated trajectory")
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
         lines = [header]
