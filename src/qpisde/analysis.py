@@ -21,24 +21,29 @@ import numpy as np
 
 from .brownian import _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
-from .model import GbmParams, TimeGrid, Trajectory, exact_solution
+from .model import GbmParams, TimeGrid, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 NORMS = ("l1", "l2", "linf")
 
+# values per block of paths in convergence_study; bounds its working memory
+_BATCH_VALUES = 1 << 16
 
-def error_norms(exact: Trajectory, approx: Trajectory) -> tuple[float, float, float]:
-    """Discrete (l1, l2, linf) error norms between two trajectories on one grid."""
-    if exact.times.shape != approx.times.shape or not np.array_equal(exact.times, approx.times):
-        raise InvalidInputError("trajectories must share an identical time axis")
-    n = len(exact.times) - 1
+
+def error_norms(exact, approx):
+    """Discrete (l1, l2, linf) error norms along the last (node) axis.
+
+    exact and approx hold trajectories on one grid, one row per path; each
+    norm has one value per row (a scalar for a single trajectory).
+    """
+    exact, approx = np.asarray(exact, dtype=float), np.asarray(approx, dtype=float)
+    if exact.shape != approx.shape or exact.ndim == 0:
+        raise InvalidInputError(f"trajectory shapes differ: {exact.shape} and {approx.shape}")
+    n = exact.shape[-1] - 1
     if n < 1:
         raise InvalidInputError("trajectories must have at least two nodes")
-    e = np.abs(exact.values - approx.values)
-    l1 = float(e.sum() / n)
-    l2 = float(math.sqrt((e * e).sum() / n))
-    linf = float(e.max())
-    return l1, l2, linf
+    e = np.abs(exact - approx)
+    return e.sum(axis=-1) / n, np.sqrt((e * e).sum(axis=-1) / n), e.max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,10 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
                       milstein_sign: str = "standard") -> ConvergenceTable:
     """Mean strong-error table over shared Brownian paths.
 
-    For each path: draw one fine path at max(n_list) resolution, coarsen it
-    to every requested N, integrate every scheme, and measure the norms
-    against the pathwise exact solution on the same Wiener values. Rows
-    hold the mean of each norm over the paths.
+    For each block of paths: draw one fine path per row at max(n_list)
+    resolution, coarsen the block to every requested N, integrate every
+    scheme, and measure the norms against the pathwise exact solution on the
+    same Wiener values. Rows hold the mean of each norm over the paths.
     """
     schemes = [SchemeId.parse(s) if isinstance(s, str) else s for s in schemes]
     n_list = [int(n) for n in n_list]
@@ -103,22 +108,23 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
 
     grids = {n: TimeGrid(t_end=t_end, n_steps=n) for n in n_list}
-    acc = {(s, n): np.zeros(3) for s in schemes for n in n_list}
-    for ipath in range(n_paths):
-        fine = generate_path(mix_seed(master_seed, ipath), t_end, n_max)
+    norms = {(s, n): np.empty((3, n_paths)) for s in schemes for n in n_list}
+    block = max(1, _BATCH_VALUES // (n_max + 1))
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        fine = generate_path([mix_seed(master_seed, k) for k in range(start, stop)],
+                             t_end, n_max)
         for n in n_list:
-            p = coarsen(fine, n_max // n)
-            grid = grids[n]
-            exact = exact_solution(params, grid, p.nodes)
+            w = coarsen(fine, n_max // n)
+            exact = exact_solution(params, grids[n], w)
             for s in schemes:
-                approx = integrate(s, params, grid, p, milstein_sign=milstein_sign)
-                acc[(s, n)] += np.array(error_norms(exact, approx))
+                approx = integrate(s, params, grids[n], w, milstein_sign=milstein_sign)
+                norms[(s, n)][:, start:stop] = error_norms(exact, approx)
     table = ConvergenceTable(t_end=t_end)
-    for s in schemes:
-        for n in n_list:
-            l1, l2, linf = acc[(s, n)] / n_paths
-            table.rows.append(ErrorReport(scheme=s, n_steps=n, l1=l1, l2=l2,
-                                          linf=linf, n_paths=n_paths))
+    for (s, n), v in norms.items():
+        # the mean adds the paths in order, so it does not depend on the block size
+        l1, l2, linf = np.add.accumulate(v, axis=1)[:, -1] / n_paths
+        table.rows.append(ErrorReport(s, n, l1, l2, linf, n_paths))
     return table
 
 
@@ -170,8 +176,9 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
     dts = np.asarray(list(dt_list), dtype=float)
     if dts.size == 0:
         raise InvalidInputError("dt_list must be nonempty")
-    if np.any(dts <= 0) or np.any(np.diff(dts) >= 0):
-        raise InvalidInputError("dt_list must be strictly descending positive values")
+    if not np.all(np.isfinite(dts)) or np.any(dts <= 0) or np.any(np.diff(dts) >= 0):
+        raise InvalidInputError(
+            f"dt_list must be strictly descending finite positive values, got {dts.tolist()}")
     if n_paths < 1:
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
     mean_sq = np.empty_like(dts)

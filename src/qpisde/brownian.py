@@ -1,8 +1,9 @@
 """Seeded Wiener-path generation with exact coarsening to divisor grids.
 
-A path is generated once at a finest resolution; every coarser grid used in
-a convergence study is obtained by restricting the same node values, so all
-schemes and all step counts see the same underlying randomness.
+A path is an array of Wiener values with the grid nodes on its last axis,
+one row per path. It is generated once at a finest resolution; every coarser
+grid in a convergence study restricts the same node values, so all schemes
+and all step counts see the same underlying randomness.
 
 Sampling method (fixed for reproducibility): a numpy PCG64 generator seeded
 with the path seed produces 53-bit uniforms, which are mapped to standard
@@ -14,7 +15,6 @@ and the path index with a splitmix64 mix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,47 +42,33 @@ def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return ndtri(u)
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """A Wiener path sampled on a uniform grid, immutable after creation.
+def generate_path(seed, t_end: float, n_fine: int) -> np.ndarray:
+    """Sample seeded Wiener paths with n_fine increments on [0, t_end].
 
-    nodes holds W(t_i) at the n_fine+1 grid nodes (nodes[0] = 0);
-    increments are the consecutive node differences, each N(0, t_end/n_fine).
+    One seed gives the n_fine+1 node values W(t_i), starting at W(0) = 0; a
+    sequence of seeds gives one such row per seed. np.diff of the nodes gives
+    the increments, each N(0, t_end/n_fine).
     """
-
-    seed: int
-    t_end: float
-    n_fine: int
-    increments: np.ndarray
-    nodes: np.ndarray
-
-
-def generate_path(seed: int, t_end: float, n_fine: int) -> BrownianPath:
-    """Sample a seeded Wiener path with n_fine increments on [0, t_end]."""
     if n_fine < 1:
         raise InvalidInputError(f"n_fine must be >= 1, got {n_fine}")
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidInputError(f"t_end must be positive and finite, got {t_end}")
-    rng = np.random.default_rng(seed)
-    raw = _standard_normal(rng, n_fine) * math.sqrt(t_end / n_fine)
-    nodes = np.concatenate(([0.0], np.cumsum(raw)))
-    increments = np.diff(nodes)
-    return BrownianPath(seed=seed, t_end=t_end, n_fine=n_fine,
-                        increments=increments, nodes=nodes)
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    scale = math.sqrt(t_end / n_fine)
+    w = np.zeros((len(seeds), n_fine + 1))
+    for row, s in zip(w, seeds):
+        np.cumsum(_standard_normal(np.random.default_rng(s), n_fine) * scale, out=row[1:])
+    return w[0] if single else w
 
 
-def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
-    """Restrict a path to every factor-th node.
+def coarsen(w: np.ndarray, factor: int) -> np.ndarray:
+    """Restrict paths (nodes on the last axis) to every factor-th node.
 
-    The coarse increments aggregate the fine ones, and node values at
-    shared nodes are preserved bit-exactly, so coarsening commutes with
-    itself: coarsen(coarsen(p, a), b) == coarsen(p, a*b).
+    Node values at shared nodes are preserved bit-exactly, so coarsening
+    commutes with itself: coarsen(coarsen(w, a), b) == coarsen(w, a*b).
     """
-    if factor < 1 or path.n_fine % factor != 0:
-        raise InvalidInputError(
-            f"factor {factor} does not divide n_fine {path.n_fine}"
-        )
-    nodes = path.nodes[::factor]
-    return BrownianPath(seed=path.seed, t_end=path.t_end,
-                        n_fine=path.n_fine // factor,
-                        increments=np.diff(nodes), nodes=nodes)
+    n_fine = np.shape(w)[-1] - 1
+    if factor < 1 or n_fine % factor != 0:
+        raise InvalidInputError(f"factor {factor} does not divide n_fine {n_fine}")
+    return w[..., ::factor]

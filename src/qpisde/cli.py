@@ -93,31 +93,22 @@ def _gbm_params(args) -> GbmParams:
 def cmd_simulate(args) -> int:
     params = _gbm_params(args)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
-    sign = args.milstein_sign
     scheme = SchemeId.parse(args.scheme)
     if n_paths < 1:
         raise InvalidInputError(f"--paths must be >= 1, got {n_paths}")
     grid = TimeGrid(t_end=t_end, n_steps=n)
-
+    w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
+    approx = integrate(scheme, params, grid, w, milstein_sign=args.milstein_sign)
     if n_paths == 1:
-        path = brownian.generate_path(brownian.mix_seed(seed, 0), t_end, n)
-        exact = exact_solution(params, grid, path.nodes)
-        approx = integrate(scheme, params, grid, path, milstein_sign=sign)
-        _require_finite([exact.values, approx.values], "simulated trajectory")
-        lines = ["t,exact,approx"]
-        for t, e, a in zip(grid.times, exact.values, approx.values):
-            lines.append(f"{t:.17g},{e:.17g},{a:.17g}")
+        header = "t,exact,approx"
+        columns = np.concatenate((exact_solution(params, grid, w), approx))
     else:
-        trajectories = []
-        for k in range(n_paths):
-            path = brownian.generate_path(brownian.mix_seed(seed, k), t_end, n)
-            trajectories.append(integrate(scheme, params, grid, path, milstein_sign=sign))
-        _require_finite([tr.values for tr in trajectories], "simulated trajectory")
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
-        lines = [header]
-        for i, t in enumerate(grid.times):
-            row = ",".join(f"{tr.values[i]:.17g}" for tr in trajectories)
-            lines.append(f"{t:.17g},{row}")
+        columns = approx
+    _require_finite(columns, "simulated trajectory")
+    lines = [header]
+    for t, row in zip(grid.times.tolist(), columns.T.tolist()):
+        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 

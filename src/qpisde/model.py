@@ -63,36 +63,15 @@ class TimeGrid:
             raise InvalidInputError("N must be even for qpi")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Solution values (exact or numerical) at the nodes of a grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise InvalidInputError(
-                f"times and values must be 1-D arrays of equal length, got {t.shape} and {v.shape}"
-            )
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-
-def exact_solution(params: GbmParams, grid: TimeGrid, w_values) -> Trajectory:
+def exact_solution(params: GbmParams, grid: TimeGrid, w) -> np.ndarray:
     """Evaluate x0 * exp((mu - sigma^2/2) t + sigma W(t)) at the grid nodes.
 
-    w_values must hold the Wiener values at the N+1 nodes, starting at
-    W(0) = 0, so the result is the pathwise exact solution driven by the
-    same noise as a numerical trajectory.
+    w holds the Wiener values at the N+1 nodes on its last axis (W(0) = 0),
+    one row per path, so the result is the pathwise exact solution driven by
+    the same noise as a numerical trajectory.
     """
-    w = np.asarray(w_values, dtype=float)
-    if w.shape != (grid.n_steps + 1,):
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (grid.n_steps + 1,):
         raise InvalidInputError(
-            f"w_values must have length {grid.n_steps + 1}, got shape {w.shape}"
-        )
-    t = grid.times
-    values = params.x0 * np.exp((params.mu - 0.5 * params.sigma**2) * t + params.sigma * w)
-    return Trajectory(times=t, values=values)
+            f"w must have {grid.n_steps + 1} nodes on its last axis, got shape {w.shape}")
+    return params.x0 * np.exp((params.mu - 0.5 * params.sigma**2) * grid.times + params.sigma * w)

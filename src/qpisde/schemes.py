@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import BrownianPath
 from .errors import InvalidInputError, SingularBlockError, SingularStepError
-from .model import GbmParams, TimeGrid, Trajectory
+from .model import GbmParams, TimeGrid
 
 
 class SchemeId(enum.Enum):
@@ -127,29 +126,30 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
 
 
 def integrate(scheme: SchemeId, params: GbmParams, grid: TimeGrid,
-              path: BrownianPath, milstein_sign: str = "standard") -> Trajectory:
-    """Run one scheme over the whole grid, driven by a matching Wiener path.
+              w, milstein_sign: str = "standard") -> np.ndarray:
+    """Run one scheme over the whole grid, driven by matching Wiener paths.
 
-    The path must already be coarsened to the grid resolution. The two-step
-    scheme requires an even number of steps and fills nodes pairwise from
-    the block multipliers; the one-step schemes fill sequentially.
+    w holds the Wiener values at the N+1 grid nodes on its last axis, one row
+    per path; the result has its shape. The two-step scheme requires an even
+    N and fills nodes pairwise from the block multipliers; the one-step
+    schemes fill sequentially.
     """
-    if path.n_fine != grid.n_steps:
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (grid.n_steps + 1,):
         raise InvalidInputError(
-            f"path resolution {path.n_fine} does not match grid n_steps {grid.n_steps}")
+            f"path shape {w.shape} does not match grid n_steps {grid.n_steps}")
     dt = grid.dt
-    dW = path.increments
+    dW = np.diff(w)
     # unit-x0 trajectory scaled once at the end, so trajectories are
     # node-wise exactly linear in x0
+    values = np.ones(w.shape)
     if scheme is SchemeId.QPI:
         grid.require_even()
         alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt,
-                                      dW[0::2], dW[1::2])
-        even = np.concatenate(([1.0], np.cumprod(beta)))
-        values = np.empty(grid.n_steps + 1)
-        values[0::2] = even
-        values[1::2] = alpha * even[:-1]
+                                      dW[..., 0::2], dW[..., 1::2])
+        np.cumprod(beta, axis=-1, out=values[..., 2::2])
+        values[..., 1::2] = alpha * values[..., 0:-1:2]
     else:
         mult = _one_step_multipliers(scheme, params, dt, dW, milstein_sign)
-        values = np.concatenate(([1.0], np.cumprod(mult)))
-    return Trajectory(times=grid.times, values=params.x0 * values)
+        np.cumprod(mult, axis=-1, out=values[..., 1:])
+    return params.x0 * values

@@ -111,17 +111,21 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
                 resolution: int) -> RegionGrid:
     """Scan the stability condition over a rectangle of the (mu, dt) plane.
 
-    mu_range and dt_range are (low, high) pairs; resolution is the number
-    of samples per axis (>= 2). Points where a denominator vanishes are
-    flagged unstable with lhs = nan.
+    mu_range and dt_range are (low, high) pairs with a finite span high - low,
+    which keeps every axis value finite; resolution is the number of samples
+    per axis (>= 2). Points where a denominator vanishes are flagged unstable
+    with lhs = nan.
     """
     if condition not in _CONDITION_FNS:
         raise InvalidInputError(
             f"unknown condition {condition!r}; expected one of {', '.join(_CONDITION_FNS)}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     dt_lo, dt_hi = float(dt_range[0]), float(dt_range[1])
-    if not (mu_lo < mu_hi and dt_lo < dt_hi):
-        raise InvalidInputError("ranges must be nonempty intervals (low < high)")
+    if not (0 < mu_hi - mu_lo < np.inf and 0 < dt_hi - dt_lo < np.inf):
+        raise InvalidInputError("ranges must be nonempty intervals (low < high) with a finite "
+                                f"span, got mu {mu_lo}:{mu_hi}, dt {dt_lo}:{dt_hi}")
     if dt_lo <= 0:
         raise InvalidInputError(f"dt range must be positive, got low = {dt_lo}")
     if resolution < 2:

@@ -93,11 +93,8 @@ def test_criterion_2_deterministic_limit():
     errs = {}
     for n in (10, 40):
         grid = TimeGrid(t_end=1.0, n_steps=n)
-        path = generate_path(0, 1.0, n)
-        zero = type(path)(seed=0, t_end=1.0, n_fine=n,
-                          increments=np.zeros(n), nodes=np.zeros(n + 1))
-        traj = integrate(SchemeId.QPI, p, grid, zero)
-        errs[n] = float(np.max(np.abs(traj.values - np.exp(-grid.times))))
+        traj = integrate(SchemeId.QPI, p, grid, np.zeros(n + 1))
+        errs[n] = float(np.max(np.abs(traj - np.exp(-grid.times))))
     ratio = errs[10] / errs[40]
     ok = errs[10] <= 1e-4 and ratio >= 30.0
     report(2, ok, f"Linf(N=10)={errs[10]:.2e}, ratio={ratio:.1f}")
@@ -198,7 +195,7 @@ def test_criterion_7_empirical_stability():
         total = 0.0
         for k in range(n_paths):
             path = generate_path(mix_seed(2024, k), 20.0, 320)
-            total += integrate(SchemeId.QPI, p, grid, path).values[-1] ** 2
+            total += integrate(SchemeId.QPI, p, grid, path)[-1] ** 2
         return total / n_paths
 
     stable = mean_square_final(-1.0)

@@ -4,43 +4,39 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qpisde import (BrownianPath, InvalidInputError, coarsen, generate_path,
-                    mix_seed)
+from qpisde import InvalidInputError, coarsen, generate_path, mix_seed
 
 
-def path_from_increments(increments, t_end=1.0):
-    increments = np.asarray(increments, dtype=float)
-    nodes = np.concatenate(([0.0], np.cumsum(increments)))
-    return BrownianPath(seed=0, t_end=t_end, n_fine=len(increments),
-                        increments=np.diff(nodes), nodes=nodes)
+def path_from_increments(increments):
+    return np.concatenate(([0.0], np.cumsum(np.asarray(increments, dtype=float))))
 
 
 def test_determinism_same_seed():
     a = generate_path(1234, 1.0, 4)
     b = generate_path(1234, 1.0, 4)
-    assert np.array_equal(a.increments, b.increments)
-    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(np.diff(a), np.diff(b))
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
     a = generate_path(1, 1.0, 64)
     b = generate_path(2, 1.0, 64)
-    assert not np.array_equal(a.increments, b.increments)
+    assert not np.array_equal(np.diff(a), np.diff(b))
 
 
 def test_increment_moments():
     n = 10**6
     p = generate_path(7, 1.0, n)
     dt = 1.0 / n
-    assert abs(p.increments.mean()) <= 4.0 * math.sqrt(dt / n)
-    assert p.increments.var() == pytest.approx(dt, rel=0.01)
+    assert abs(np.diff(p).mean()) <= 4.0 * math.sqrt(dt / n)
+    assert np.diff(p).var() == pytest.approx(dt, rel=0.01)
 
 
 def test_normality_ks():
     n = 10**5
     for seed in (0, 1, 2):
         p = generate_path(seed, 1.0, n)
-        z = p.increments / math.sqrt(1.0 / n)
+        z = np.diff(p) / math.sqrt(1.0 / n)
         _, pvalue = stats.kstest(z, "norm")
         assert pvalue > 0.001
 
@@ -48,20 +44,20 @@ def test_normality_ks():
 def test_coarsen_pairwise_sums():
     p = path_from_increments([0.1, -0.2, 0.3, 0.4])
     c = coarsen(p, 2)
-    assert c.n_fine == 2
-    assert c.increments == pytest.approx([-0.1, 0.7], abs=1e-15)
+    assert len(c) - 1 == 2
+    assert np.diff(c) == pytest.approx([-0.1, 0.7], abs=1e-15)
 
 
 def test_coarsen_identity():
     p = generate_path(5, 2.0, 8)
     c = coarsen(p, 1)
-    assert np.array_equal(c.increments, p.increments)
+    assert np.array_equal(np.diff(c), np.diff(p))
 
 
 def test_coarsen_preserves_endpoint_exactly():
     p = generate_path(9, 1.0, 64)
     for f in (2, 4, 8, 16):
-        assert coarsen(p, f).nodes[-1] == p.nodes[-1]
+        assert coarsen(p, f)[-1] == p[-1]
 
 
 def test_coarsen_composition_exact():
@@ -69,15 +65,15 @@ def test_coarsen_composition_exact():
     for a, b in [(2, 2), (2, 4), (4, 2), (8, 4)]:
         lhs = coarsen(coarsen(p, a), b)
         rhs = coarsen(p, a * b)
-        assert np.array_equal(lhs.increments, rhs.increments)
-        assert np.array_equal(lhs.nodes, rhs.nodes)
+        assert np.array_equal(np.diff(lhs), np.diff(rhs))
+        assert np.array_equal(lhs, rhs)
 
 
 def test_coarsen_node_restriction_exact():
     p = generate_path(17, 1.0, 96)
     for f in (2, 3, 4, 6, 8):
         c = coarsen(p, f)
-        assert np.array_equal(c.nodes, p.nodes[::f])
+        assert np.array_equal(c, p[::f])
 
 
 def test_coarsen_invalid_factor():
@@ -89,13 +85,10 @@ def test_coarsen_invalid_factor():
 
 
 def test_node_values_examples():
-    assert np.array_equal(path_from_increments([0.5]).nodes, [0.0, 0.5])
-    nv = path_from_increments([0.1, -0.1]).nodes
+    assert np.array_equal(path_from_increments([0.5]), [0.0, 0.5])
+    nv = path_from_increments([0.1, -0.1])
     assert nv[0] == 0.0
     assert nv == pytest.approx([0.0, 0.1, 0.0], abs=1e-16)
-    degenerate = BrownianPath(seed=0, t_end=1.0, n_fine=0,
-                              increments=np.array([]), nodes=np.array([0.0]))
-    assert np.array_equal(degenerate.nodes, [0.0])
 
 
 def test_generate_validation():
@@ -117,5 +110,5 @@ def test_mix_seed_streams():
 def test_mix_seed_paths_independent():
     a = generate_path(mix_seed(0, 0), 1.0, 1000)
     b = generate_path(mix_seed(0, 1), 1.0, 1000)
-    r = np.corrcoef(a.increments, b.increments)[0, 1]
+    r = np.corrcoef(np.diff(a), np.diff(b))[0, 1]
     assert abs(r) < 0.1

@@ -202,7 +202,13 @@ class TestInputContract:
         (["stability", "--mu-range", "a:b", "--grid", "3"], None, "'a'"),
         (["simulate", "--n", "4"], "mu=abc\n", "abc"),
         (["simulate"], "nn=4\n", "nn"),
-    ], ids=["n-list-word", "n-list-fraction", "range-word", "config-word", "config-unknown-key"])
+        (["stability", "--sigma", "nan", "--grid", "2"], None, "sigma"),
+        (["stability", "--sigma", "-1", "--grid", "2"], None, "sigma"),
+        (["stability", "--mu-range", "-1e308:1e308", "--grid", "2"], None, "finite"),
+        (["stability", "--dt-range", "0.01:inf", "--grid", "2"], None, "finite"),
+        (["local-error", "--dt-list", "nan"], None, "finite"),
+    ], ids=["n-list-word", "n-list-fraction", "range-word", "config-word", "config-unknown-key",
+            "sigma-nan", "sigma-negative", "mu-range-overflow", "dt-range-inf", "dt-list-nan"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:

@@ -11,7 +11,7 @@ def test_initial_condition():
     p = GbmParams(mu=-1.0, sigma=0.5, x0=1.0)
     grid = TimeGrid(t_end=1.0, n_steps=1)
     traj = exact_solution(p, grid, [0.0, 0.0])
-    assert traj.values[0] == 1.0
+    assert traj[0] == 1.0
 
 
 def test_degenerate_constant_solution():
@@ -19,7 +19,7 @@ def test_degenerate_constant_solution():
     grid = TimeGrid(t_end=3.0, n_steps=5)
     w = np.array([0.0, 0.3, -0.2, 1.0, 0.5, 0.1])
     traj = exact_solution(p, grid, w)
-    assert np.all(traj.values == 1.0)
+    assert np.all(traj == 1.0)
 
 
 def test_closed_form_at_t1():
@@ -27,8 +27,8 @@ def test_closed_form_at_t1():
     p = GbmParams(mu=-1.0, sigma=0.5, x0=1.0)
     grid = TimeGrid(t_end=1.0, n_steps=1)
     traj = exact_solution(p, grid, [0.0, 0.0])
-    assert traj.values[1] == pytest.approx(math.exp(-1.125), rel=1e-12)
-    assert traj.values[1] == pytest.approx(0.3246525, rel=1e-6)
+    assert traj[1] == pytest.approx(math.exp(-1.125), rel=1e-12)
+    assert traj[1] == pytest.approx(0.3246525, rel=1e-6)
 
 
 def test_length_mismatch_raises():
@@ -44,22 +44,22 @@ def test_zero_volatility_matches_exponential():
     w = np.zeros(17)
     traj = exact_solution(p, grid, w)
     expected = 2.0 * np.exp(0.7 * grid.times)
-    assert np.allclose(traj.values, expected, rtol=1e-15)
+    assert np.allclose(traj, expected, rtol=1e-15)
 
 
 def test_multiplicative_in_x0():
     grid = TimeGrid(t_end=1.0, n_steps=32)
-    w = generate_path(3, 1.0, 32).nodes
+    w = generate_path(3, 1.0, 32)
     a = exact_solution(GbmParams(mu=-1.0, sigma=0.5, x0=1.0), grid, w)
     b = exact_solution(GbmParams(mu=-1.0, sigma=0.5, x0=2.0), grid, w)
-    assert np.array_equal(b.values, 2.0 * a.values)
+    assert np.array_equal(b, 2.0 * a)
 
 
 def test_strictly_positive_for_positive_x0():
     grid = TimeGrid(t_end=1.0, n_steps=64)
-    w = generate_path(11, 1.0, 64).nodes
+    w = generate_path(11, 1.0, 64)
     traj = exact_solution(GbmParams(mu=1.0, sigma=2.0, x0=0.5), grid, w)
-    assert np.all(traj.values > 0)
+    assert np.all(traj > 0)
 
 
 def test_param_validation():

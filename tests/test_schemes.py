@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpisde import (BrownianPath, GbmParams, InvalidInputError, SchemeId,
+from qpisde import (GbmParams, InvalidInputError, SchemeId,
                     SingularBlockError, SingularStepError, TimeGrid,
                     exact_solution, generate_path, integrate, mix_seed,
                     qpi_block_coeffs, qpi_block_solve_oracle)
@@ -11,19 +11,17 @@ from qpisde import (BrownianPath, GbmParams, InvalidInputError, SchemeId,
 P = GbmParams(mu=-1.0, sigma=0.5)
 
 
-def zero_noise_path(n, t_end=1.0):
-    return BrownianPath(seed=0, t_end=t_end, n_fine=n,
-                        increments=np.zeros(n), nodes=np.zeros(n + 1))
+def zero_noise_path(n):
+    return np.zeros(n + 1)
 
 
 def one_step(scheme, params, dt, x, dw, milstein_sign="standard"):
     """State after one step of size dt from x, through integrate on a one-step grid."""
-    path = BrownianPath(seed=0, t_end=dt, n_fine=1, increments=np.array([dw]),
-                        nodes=np.array([0.0, dw]))
+    path = np.array([0.0, dw])
     start = GbmParams(mu=params.mu, sigma=params.sigma, x0=x)
     traj = integrate(scheme, start, TimeGrid(t_end=dt, n_steps=1), path,
                      milstein_sign=milstein_sign)
-    return traj.values[1]
+    return traj[1]
 
 
 EM, IEM, MIL = SchemeId.EULER_MARUYAMA, SchemeId.IMPLICIT_EM, SchemeId.MILSTEIN
@@ -167,22 +165,22 @@ class TestIntegrate:
         p = GbmParams(mu=-1.0, sigma=0.0)
         grid = TimeGrid(t_end=1.0, n_steps=10)
         traj = integrate(SchemeId.QPI, p, grid, zero_noise_path(10))
-        assert np.max(np.abs(traj.values - np.exp(-grid.times))) < 1e-4
+        assert np.max(np.abs(traj - np.exp(-grid.times))) < 1e-4
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_constant_trajectory(self, scheme):
         p = GbmParams(mu=0.0, sigma=0.0, x0=2.5)
         grid = TimeGrid(t_end=1.0, n_steps=8)
         traj = integrate(scheme, p, grid, zero_noise_path(8))
-        assert np.all(traj.values == 2.5)
+        assert np.all(traj == 2.5)
 
     def test_qpi_close_to_exact_on_default_seed(self):
         p = GbmParams(mu=-1.0, sigma=0.5)
         grid = TimeGrid(t_end=1.0, n_steps=256)
         path = generate_path(mix_seed(85, 0), 1.0, 256)
-        exact = exact_solution(p, grid, path.nodes)
+        exact = exact_solution(p, grid, path)
         approx = integrate(SchemeId.QPI, p, grid, path)
-        assert np.max(np.abs(exact.values - approx.values)) < 5e-3
+        assert np.max(np.abs(exact - approx)) < 5e-3
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_linearity_in_x0(self, scheme):
@@ -190,7 +188,7 @@ class TestIntegrate:
         path = generate_path(21, 1.0, 16)
         base = integrate(scheme, GbmParams(mu=-1.0, sigma=0.5, x0=1.0), grid, path)
         scaled = integrate(scheme, GbmParams(mu=-1.0, sigma=0.5, x0=3.0), grid, path)
-        assert np.array_equal(scaled.values, 3.0 * base.values)
+        assert np.array_equal(scaled, 3.0 * base)
 
     def test_qpi_odd_n_rejected(self):
         grid = TimeGrid(t_end=1.0, n_steps=9)
@@ -208,13 +206,13 @@ class TestIntegrate:
         grid = TimeGrid(t_end=1.0, n_steps=4)
         path = generate_path(31, 1.0, 4)
         traj = integrate(SchemeId.QPI, P, grid, path)
-        dw = path.increments
+        dw = np.diff(path)
         c0 = qpi_block_coeffs(P, grid.dt, dw[0], dw[1])
         c1 = qpi_block_coeffs(P, grid.dt, dw[2], dw[3])
         x0 = P.x0
         expected = [x0, c0.alpha * x0, c0.beta * x0,
                     c1.alpha * c0.beta * x0, c1.beta * c0.beta * x0]
-        assert traj.values == pytest.approx(expected, rel=1e-13)
+        assert traj == pytest.approx(expected, rel=1e-13)
 
     def test_one_step_schemes_sequential(self):
         grid = TimeGrid(t_end=1.0, n_steps=3)
@@ -222,6 +220,6 @@ class TestIntegrate:
         traj = integrate(SchemeId.MILSTEIN, P, grid, path)
         dt = grid.dt
         x = P.x0
-        for i, dw in enumerate(path.increments):
+        for i, dw in enumerate(np.diff(path)):
             x = x * (1.0 + P.mu * dt + P.sigma * dw + 0.5 * P.sigma**2 * (dw * dw - dt))
-            assert traj.values[i + 1] == pytest.approx(x, rel=1e-13)
+            assert traj[i + 1] == pytest.approx(x, rel=1e-13)

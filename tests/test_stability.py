@@ -170,6 +170,13 @@ class TestEvaluateAndScan:
             region_scan("iem", 0.5, (-1.0, 1.0), (0.1, 1.0), 1)
         with pytest.raises(InvalidInputError):
             region_scan("bogus", 0.5, (-1.0, 1.0), (0.1, 1.0), 10)
+        for sigma in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(InvalidInputError, match="sigma"):
+                region_scan("iem", sigma, (-1.0, 1.0), (0.1, 1.0), 10)
+        for mu_range, dt_range in [((-1e308, 1e308), (0.1, 1.0)), ((float("nan"), 1.0), (0.1, 1.0)),
+                                   ((-1.0, 1.0), (0.1, float("inf")))]:
+            with pytest.raises(InvalidInputError, match="finite"):
+                region_scan("iem", 0.5, mu_range, dt_range, 10)
 
     def test_scan_singular_point_marked_unstable(self):
         # iem singular at mu*dt = 1: mu=2, dt=0.5 lies on this grid
