@@ -106,9 +106,10 @@ def cmd_simulate(args) -> int:
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
         columns = approx
     _require_finite(columns, "simulated trajectory")
+    row_format = ",".join(["%.17g"] * (len(columns) + 1))
     lines = [header]
-    for t, row in zip(grid.times.tolist(), columns.T.tolist()):
-        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
+    for t, values in zip(grid.times.tolist(), columns.T.tolist()):
+        lines.append(row_format % (t, *values))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
 

@@ -114,7 +114,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     mu_range and dt_range are (low, high) pairs with a finite span high - low,
     which keeps every axis value finite; resolution is the number of samples
     per axis (>= 2). Points where a denominator vanishes are flagged unstable
-    with lhs = nan.
+    with lhs = nan; a value that overflows anywhere else raises InvalidInputError.
     """
     if condition not in _CONDITION_FNS:
         raise InvalidInputError(
@@ -134,6 +134,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
     fn = _CONDITION_FNS[condition]
     lhs = np.full((resolution, resolution), np.nan)
+    singular = np.zeros((resolution, resolution), dtype=bool)
     for j, dt in enumerate(dt_axis):
         try:
             col = fn(mu_axis, sigma, dt)
@@ -144,7 +145,10 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
                 try:
                     lhs[i, j] = fn(float(mu), sigma, dt)
                 except SingularStepError:
-                    lhs[i, j] = np.nan
+                    singular[i, j] = True
+    if not np.isfinite(lhs[~singular]).all():
+        raise InvalidInputError("stability condition overflowed to inf or nan away from a "
+                                "singular point; no output written")
     with np.errstate(invalid="ignore"):
         verdicts = np.where(np.isfinite(lhs), lhs < 1.0, False)
     return RegionGrid(condition=condition, sigma=sigma, mu_axis=mu_axis,
@@ -153,12 +157,13 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
 
 def region_to_csv(grid: RegionGrid) -> str:
     """Serialize a region scan as `mu,dt,lhs,stable` rows (row-major over mu)."""
+    dt_txt = [f"{dt:.17g}," for dt in grid.dt_axis.tolist()]
+    lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan).tolist()
+    stable = grid.verdicts.astype(int).tolist()
     lines = ["mu,dt,lhs,stable"]
-    for i, mu in enumerate(grid.mu_axis):
-        for j, dt in enumerate(grid.dt_axis):
-            v = grid.lhs[i, j]
-            lhs_txt = f"{v:.17g}" if np.isfinite(v) else "nan"
-            lines.append(f"{mu:.17g},{dt:.17g},{lhs_txt},{int(grid.verdicts[i, j])}")
+    for mu, lhs_row, stable_row in zip(grid.mu_axis.tolist(), lhs, stable):
+        mu_txt = f"{mu:.17g},"
+        lines.extend([f"{mu_txt}{d}{v:.17g},{s}" for d, v, s in zip(dt_txt, lhs_row, stable_row)])
     return "\n".join(lines) + "\n"
 
 
@@ -170,12 +175,6 @@ def region_to_svg(grid: RegionGrid, width: int = 640, height: int = 480) -> str:
     nmu, ndt = len(mu), len(dt)
     cw, ch = pw / nmu, ph / ndt
 
-    def x_of(i):
-        return ml + i * cw
-
-    def y_of(j):
-        return mt + ph - (j + 1) * ch
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
@@ -184,12 +183,12 @@ def region_to_svg(grid: RegionGrid, width: int = 640, height: int = 480) -> str:
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
         f'Stability region ({grid.condition}, sigma={grid.sigma:g})</text>',
     ]
-    for i in range(nmu):
-        for j in range(ndt):
-            if grid.verdicts[i, j]:
-                parts.append(
-                    f'<rect x="{x_of(i):.2f}" y="{y_of(j):.2f}" '
-                    f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="#7fb3d5"/>')
+    # one rect per stable cell, row-major over (mu, dt) as np.nonzero returns them
+    x_txt = [f'<rect x="{ml + i * cw:.2f}" y="' for i in range(nmu)]
+    y_txt = [f'{mt + ph - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" '
+             f'height="{ch + 0.5:.2f}" fill="#7fb3d5"/>' for j in range(ndt)]
+    rows, cols = np.nonzero(grid.verdicts)
+    parts.extend([x_txt[i] + y_txt[j] for i, j in zip(rows.tolist(), cols.tolist())])
     # axes
     parts.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>')

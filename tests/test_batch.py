@@ -1,6 +1,8 @@
 """The path layers act on arrays with the nodes on the last axis, one row per
-path: a batched call must equal the single-row calls bit for bit, and a
-convergence study must not depend on how its paths are split into blocks."""
+path: a batched call must equal the single-row calls bit for bit, a
+trajectory must be exactly linear in x0, the closed-form block must agree
+with the linear-solve oracle, and a convergence study must not depend on how
+its paths are split into blocks."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from qpisde import (GbmParams, SchemeId, TimeGrid, analysis, coarsen,
                     convergence_study, error_norms, exact_solution,
-                    generate_path, integrate, mix_seed)
+                    generate_path, integrate, mix_seed, qpi_block_solve_oracle)
+from qpisde.schemes import _qpi_alpha_beta
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
 # mu*dt <= 1/2 keeps every scheme away from its singular step
@@ -50,6 +53,30 @@ def test_batched_layers_equal_single_rows(seeds, half, params, scheme, sign):
     stacked = np.stack([w, w])
     assert np.array_equal(integrate(scheme, params, grid, stacked, milstein_sign=sign),
                           np.stack([approx, approx]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=SEEDS, half=st.integers(1, 32), params=PARAMS,
+       scheme=st.sampled_from(list(SchemeId)),
+       sign=st.sampled_from(["standard", "paper"]))
+def test_integrate_exactly_linear_in_x0(seeds, half, params, scheme, sign):
+    grid = TimeGrid(t_end=1.0, n_steps=2 * half)
+    w = generate_path(seeds, 1.0, 2 * half)
+    unit = GbmParams(mu=params.mu, sigma=params.sigma, x0=1.0)
+    assert np.array_equal(integrate(scheme, params, grid, w, milstein_sign=sign),
+                          params.x0 * integrate(scheme, unit, grid, w, milstein_sign=sign))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(-0.5, 0.5), dt=st.floats(0.01, 1.0), sigma=st.floats(0.0, 2.0),
+       za=st.floats(-3.0, 3.0), zb=st.floats(-3.0, 3.0))
+def test_closed_form_agrees_with_oracle(h, dt, sigma, za, zb):
+    mu = h / dt
+    dwa, dwb = za * np.sqrt(dt), zb * np.sqrt(dt)
+    alpha, beta = _qpi_alpha_beta(mu, sigma, dt, dwa, dwb)
+    oracle = qpi_block_solve_oracle(GbmParams(mu=mu, sigma=sigma), dt, dwa, dwb)
+    assert alpha == pytest.approx(oracle.alpha, rel=1e-12, abs=1e-12)
+    assert beta == pytest.approx(oracle.beta, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

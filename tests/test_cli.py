@@ -207,8 +207,13 @@ class TestInputContract:
         (["stability", "--mu-range", "-1e308:1e308", "--grid", "2"], None, "finite"),
         (["stability", "--dt-range", "0.01:inf", "--grid", "2"], None, "finite"),
         (["local-error", "--dt-list", "nan"], None, "finite"),
+        (["stability", "--mu-range", "-4:1", "--dt-range", "0.01:1e200", "--grid", "2"], None,
+         "inf or nan"),
+        (["stability", "--scheme", "milstein", "--mu-range", "-4:1", "--dt-range", "0.01:1e200",
+          "--grid", "2"], None, "inf or nan"),
     ], ids=["n-list-word", "n-list-fraction", "range-word", "config-word", "config-unknown-key",
-            "sigma-nan", "sigma-negative", "mu-range-overflow", "dt-range-inf", "dt-list-nan"])
+            "sigma-nan", "sigma-negative", "mu-range-overflow", "dt-range-inf", "dt-list-nan",
+            "qpi-paper-overflow", "milstein-overflow"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:

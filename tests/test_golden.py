@@ -28,6 +28,13 @@ GOLDEN = [
      "d85880066ef3641ecfbbe9b3467fb5ac6498c2035571ef68f27558bd0d3cad83"),
     ("stability-svg", ["stability", "--grid", "30", "--scheme", "qpi-exact", "--format", "svg"], None,
      "9fb487dd00cc304831ebd85169098c5b045e73d4b622989b6d09e4f7c634b8bf"),
+    # the benchmark's stability workload, at its grid of 300
+    ("stability-csv-300", ["stability", "--mu-range", "-4:1", "--dt-range", "0.01:1", "--grid", "300",
+                           "--scheme", "qpi-paper", "--format", "csv"], None,
+     "7caab6a75d5c69026a16a7db3e9d9e4c0f4f7c992454fb872e0a9a9f60e60e1a"),
+    ("stability-svg-300", ["stability", "--mu-range", "-4:1", "--dt-range", "0.01:1", "--grid", "300",
+                           "--scheme", "qpi-exact", "--format", "svg"], None,
+     "8e4545ad82fa8e67b9c91cbc2f3ce217202296fcfbdeae62daabcf9523f39aba"),
     ("stability-singular", ["stability", "--scheme", "iem", "--mu-range", "0:4",
                             "--dt-range", "0.25:0.75", "--grid", "3"], None,
      "ab7b61c6d6a70006279ec0dc70d4a0533bdb51bf11fc1b06d4dced8982d513a2"),

@@ -2,8 +2,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qpisde import (GbmParams, InvalidInputError, SchemeId, SingularStepError,
+from qpisde import (GbmParams, InvalidInputError, RegionGrid, SchemeId, SingularStepError,
                     iem_amplification, milstein_amplification,
                     qpi_exact_amplification, qpi_paper_lhs, region_scan,
                     region_to_csv, region_to_svg)
@@ -205,3 +208,62 @@ class TestEvaluateAndScan:
         # at least one shaded cell plus axes
         assert text.count("<rect") >= 2
         assert text.count("<line") >= 2
+
+
+def csv_reference(grid):
+    """The per-cell CSV writer: three formats and a scalar isfinite per cell."""
+    lines = ["mu,dt,lhs,stable"]
+    for i, mu in enumerate(grid.mu_axis):
+        for j, dt in enumerate(grid.dt_axis):
+            v = grid.lhs[i, j]
+            lhs_txt = f"{v:.17g}" if np.isfinite(v) else "nan"
+            lines.append(f"{mu:.17g},{dt:.17g},{lhs_txt},{int(grid.verdicts[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def svg_cells_reference(grid, width=640, height=480):
+    """The per-cell SVG rects: one visit and four formats per stable cell."""
+    ml, mr, mt, mb = 60, 20, 40, 50
+    pw, ph = width - ml - mr, height - mt - mb
+    nmu, ndt = len(grid.mu_axis), len(grid.dt_axis)
+    cw, ch = pw / nmu, ph / ndt
+    cells = []
+    for i in range(nmu):
+        for j in range(ndt):
+            if grid.verdicts[i, j]:
+                cells.append(f'<rect x="{ml + i * cw:.2f}" y="{mt + ph - (j + 1) * ch:.2f}" '
+                             f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="#7fb3d5"/>')
+    return cells
+
+
+AXIS_VALUES = st.floats(-1e300, 1e300)
+LHS_VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats())
+
+
+@st.composite
+def region_grids(draw):
+    nmu, ndt = draw(st.integers(2, 25)), draw(st.integers(2, 25))
+    verdicts = draw(st.one_of(st.just(np.ones((nmu, ndt), dtype=bool)),
+                              st.just(np.zeros((nmu, ndt), dtype=bool)),
+                              arrays(bool, (nmu, ndt))))
+    return RegionGrid(condition="qpi-paper", sigma=0.5,
+                      mu_axis=draw(arrays(float, nmu, elements=AXIS_VALUES)),
+                      dt_axis=draw(arrays(float, ndt, elements=AXIS_VALUES)),
+                      lhs=draw(arrays(float, (nmu, ndt), elements=LHS_VALUES)),
+                      verdicts=verdicts)
+
+
+class TestWritersMatchPerCellReference:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=region_grids())
+    def test_csv(self, grid):
+        assert region_to_csv(grid) == csv_reference(grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=region_grids())
+    def test_svg_cells(self, grid):
+        cells = svg_cells_reference(grid)
+        # four header lines, the stable cells, then the axes
+        lines = region_to_svg(grid).split("\n")
+        assert lines[4:4 + len(cells)] == cells
+        assert lines[4 + len(cells)].startswith("<line")
