@@ -9,8 +9,7 @@ from .brownian import coarsen, generate_path, mix_seed
 from .errors import (InvalidInputError, QpisdeError, SingularBlockError,
                      SingularStepError)
 from .model import GbmParams, TimeGrid, exact_solution
-from .schemes import (QpiBlockCoeffs, SchemeId, integrate, qpi_block_coeffs,
-                      qpi_block_solve_oracle)
+from .schemes import QpiBlockCoeffs, SchemeId, integrate, qpi_block_solve_oracle
 from .stability import (RegionGrid, iem_amplification, milstein_amplification,
                         qpi_exact_amplification, qpi_paper_lhs, region_scan,
                         region_to_csv, region_to_svg)
@@ -24,6 +23,6 @@ __all__ = [
     "TimeGrid", "coarsen", "convergence_study", "error_norms",
     "estimate_order", "exact_solution", "generate_path", "iem_amplification",
     "integrate", "local_error_study", "milstein_amplification", "mix_seed",
-    "qpi_block_coeffs", "qpi_block_solve_oracle", "qpi_exact_amplification",
-    "qpi_paper_lhs", "region_scan", "region_to_csv", "region_to_svg",
+    "qpi_block_solve_oracle", "qpi_exact_amplification", "qpi_paper_lhs",
+    "region_scan", "region_to_csv", "region_to_svg",
 ]

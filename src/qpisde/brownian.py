@@ -37,9 +37,10 @@ def mix_seed(master_seed: int, index: int) -> int:
 
 
 def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-CDF normals from 53-bit uniforms strictly inside (0, 1)."""
+    """Inverse-CDF normals from 53-bit uniforms (k + 0.5) / 2^53 strictly inside (0, 1);
+    for k >= 2^52 the + 0.5 rounds to even, and k = 2^53 - 1 (u = 1) is clamped to 1 - 2^-53."""
     u = (rng.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) / float(1 << 53)
-    return ndtri(u)
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u))
 
 
 def generate_path(seed, t_end: float, n_fine: int) -> np.ndarray:

@@ -47,14 +47,16 @@ class QpiBlockCoeffs:
     beta: float
 
 
-def _qpi_denominators(h):
-    """Denominators D = 1 - h + h^2/3 and E = 1 - h/3 of the block coefficients.
-
-    h = mu*dt may be a scalar or an array; raises SingularBlockError where
-    either denominator vanishes.
-    """
+def _qpi_block_system(h):
+    """Block denominators D = 1 - h + h^2/3, E = 1 - h/3 and where either is 0 (h = mu*dt)."""
     d1, d2 = 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
-    if np.logical_or(d1 == 0.0, d2 == 0.0).any():
+    return d1, d2, np.logical_or(d1 == 0.0, d2 == 0.0)
+
+
+def _qpi_denominators(h):
+    """D and E of _qpi_block_system; raises SingularBlockError where either vanishes."""
+    d1, d2, singular = _qpi_block_system(h)
+    if singular.any():
         raise SingularBlockError(f"block system singular for mu*dt = {h}")
     return d1, d2
 
@@ -68,19 +70,6 @@ def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb):
              + sigma * (1.0 - h / 3.0) * dWa) / d1
     beta = (1.0 + h / 3.0 + (4.0 * h / 3.0) * alpha + sigma * dWab) / d2
     return alpha, beta
-
-
-def qpi_block_coeffs(params: GbmParams, dt: float, dWa: float, dWb: float) -> QpiBlockCoeffs:
-    """Closed-form (alpha, beta) for one block from the two step increments.
-
-    dWa is the increment over the first step of the block, dWb over the
-    second; dWa + dWb is the full two-step increment entering the frozen
-    diffusion term.
-    """
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt, dWa, dWb)
-    return QpiBlockCoeffs(alpha=float(alpha), beta=float(beta))
 
 
 def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float) -> QpiBlockCoeffs:

@@ -19,7 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularStepError
-from .schemes import _qpi_denominators
+from .schemes import _qpi_block_system, _qpi_denominators
+
+
+def _value(out):  # a 0-d result as a float, any other as the array
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def qpi_paper_lhs(mu: float, sigma: float, dt: float):
@@ -37,8 +41,7 @@ def qpi_paper_lhs(mu: float, sigma: float, dt: float):
            + dt * s2 * a2 * a2
            + dt * s2 * a3 * a3
            + dt * s2 * np.abs(a3 * a2))
-    out = num / (d1 * d1 * d2 * d2)
-    return float(out) if np.isscalar(mu) else out
+    return _value(num / (d1 * d1 * d2 * d2))
 
 
 def qpi_exact_amplification(mu: float, sigma: float, dt: float):
@@ -56,18 +59,22 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
     big_a = (1.0 + h / 3.0 + (4.0 * h / 3.0) * a0) / d2
     big_b = (s + (4.0 * h / 3.0) * a1) / d2
     big_c = (s + (4.0 * h / 3.0) * a2) / d2
-    out = big_a**2 + (big_b**2 + big_c**2) * dt
-    return float(out) if np.isscalar(mu) else out
+    return _value(big_a**2 + (big_b**2 + big_c**2) * dt)
+
+
+def _iem_singular(h):  # the implicit EM step divides by 1 - mu*dt
+    return 1.0 - h == 0.0
 
 
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
     h = np.asarray(mu, dtype=float) * dt
-    den = 1.0 - h
-    if np.any(den == 0.0):
-        raise SingularStepError(f"implicit EM amplification singular: mu*dt = 1")
-    out = (1.0 + sigma * sigma * dt) / (den * den)
-    return float(out) if np.isscalar(mu) else out
+    if np.any(_iem_singular(h)):
+        raise SingularStepError("implicit EM amplification singular: mu*dt = 1")
+    num, den = 1.0 + sigma * sigma * dt, 1.0 - h
+    with np.errstate(over="ignore"):  # den^2 is inf for |1 - mu*dt| > ~1.3e154
+        den2 = den * den
+    return _value(np.where(np.isinf(den2), num / den / den, num / den2))
 
 
 def milstein_amplification(mu: float, sigma: float, dt: float):
@@ -76,11 +83,10 @@ def milstein_amplification(mu: float, sigma: float, dt: float):
     Identical for both sign conventions: the correction term is orthogonal
     to dW and its square is sign-insensitive.
     """
-    if dt <= 0:
+    if np.any(dt <= 0):
         raise InvalidInputError(f"dt must be positive, got {dt}")
     h = np.asarray(mu, dtype=float) * dt
-    out = (1.0 + h)**2 + sigma * sigma * dt + 0.5 * sigma**4 * dt * dt
-    return float(out) if np.isscalar(mu) else out
+    return _value((1.0 + h)**2 + sigma * sigma * dt + 0.5 * sigma**4 * dt * dt)
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,12 @@ class RegionGrid:
     verdicts: np.ndarray
 
 
-_CONDITION_FNS = {
-    "qpi-paper": qpi_paper_lhs,
-    "qpi-exact": qpi_exact_amplification,
-    "iem": iem_amplification,
-    "milstein": milstein_amplification,
+# condition -> (function, mask of h = mu*dt where that function raises SingularStepError)
+_CONDITIONS = {
+    "qpi-paper": (qpi_paper_lhs, lambda h: _qpi_block_system(h)[2]),
+    "qpi-exact": (qpi_exact_amplification, lambda h: _qpi_block_system(h)[2]),
+    "iem": (iem_amplification, _iem_singular),
+    "milstein": (milstein_amplification, lambda h: np.zeros(np.shape(h), dtype=bool)),
 }
 
 
@@ -113,12 +120,14 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
 
     mu_range and dt_range are (low, high) pairs with a finite span high - low,
     which keeps every axis value finite; resolution is the number of samples
-    per axis (>= 2). Points where a denominator vanishes are flagged unstable
-    with lhs = nan; a value that overflows anywhere else raises InvalidInputError.
+    per axis (>= 2). Cells whose mu*dt is in the condition's singular set (where
+    its function raises SingularStepError) get lhs = nan and are unstable. The
+    condition is evaluated once, on all other cells, so no value depends on its
+    neighbours; an overflow there raises InvalidInputError.
     """
-    if condition not in _CONDITION_FNS:
+    if condition not in _CONDITIONS:
         raise InvalidInputError(
-            f"unknown condition {condition!r}; expected one of {', '.join(_CONDITION_FNS)}")
+            f"unknown condition {condition!r}; expected one of {', '.join(_CONDITIONS)}")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
@@ -132,27 +141,17 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
-    fn = _CONDITION_FNS[condition]
-    lhs = np.full((resolution, resolution), np.nan)
-    singular = np.zeros((resolution, resolution), dtype=bool)
-    for j, dt in enumerate(dt_axis):
-        try:
-            col = fn(mu_axis, sigma, dt)
-            lhs[:, j] = col
-        except SingularStepError:
-            # a singular mu*dt inside this column; fall back pointwise
-            for i, mu in enumerate(mu_axis):
-                try:
-                    lhs[i, j] = fn(float(mu), sigma, dt)
-                except SingularStepError:
-                    singular[i, j] = True
-    if not np.isfinite(lhs[~singular]).all():
+    fn, singular_at = _CONDITIONS[condition]
+    mu, dt = np.broadcast_arrays(mu_axis[:, None], dt_axis[None, :])
+    regular = ~singular_at(mu * dt)
+    lhs = np.full(mu.shape, np.nan)
+    lhs[regular] = fn(mu[regular], sigma, dt[regular])
+    if not np.isfinite(lhs[regular]).all():
         raise InvalidInputError("stability condition overflowed to inf or nan away from a "
                                 "singular point; no output written")
-    with np.errstate(invalid="ignore"):
-        verdicts = np.where(np.isfinite(lhs), lhs < 1.0, False)
+    # nan < 1.0 is False, so the singular cells come out unstable
     return RegionGrid(condition=condition, sigma=sigma, mu_axis=mu_axis,
-                      dt_axis=dt_axis, lhs=lhs, verdicts=verdicts.astype(bool))
+                      dt_axis=dt_axis, lhs=lhs, verdicts=lhs < 1.0)
 
 
 def region_to_csv(grid: RegionGrid) -> str:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from qpisde import InvalidInputError, coarsen, generate_path, mix_seed
+from qpisde.brownian import _standard_normal
 
 
 def path_from_increments(increments):
@@ -112,3 +114,21 @@ def test_mix_seed_paths_independent():
     b = generate_path(mix_seed(0, 1), 1.0, 1000)
     r = np.corrcoef(np.diff(a), np.diff(b))[0, 1]
     assert abs(r) < 0.1
+
+
+class TopDrawGenerator:
+    """Stands in for np.random.Generator: four fixed 53-bit draws, the highest included."""
+
+    K = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 1 << 53, 4, np.uint64)
+        return self.K.copy()
+
+
+def test_standard_normal_finite_at_top_draw():
+    # k = 2^53 - 1 makes k + 0.5 round to 2^53, so u = 1 would map to +inf
+    z = _standard_normal(TopDrawGenerator(), 4)
+    assert np.all(np.isfinite(z))
+    expected = ndtri((TopDrawGenerator.K[:3] + 0.5) / float(1 << 53))
+    assert np.array_equal(z[:3].view(np.uint64), expected.view(np.uint64))

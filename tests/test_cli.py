@@ -121,6 +121,14 @@ class TestStability:
         rc = run(["stability", "--mu-range", "1:-1"])
         assert rc == 2
 
+    def test_iem_squared_denominator_overflow(self, capsys):
+        # (1 - mu*dt)^2 overflows at dt = 1e200; the cells must not read 0
+        assert run(["stability", "--scheme", "iem", "--mu-range", "-4:1",
+                    "--dt-range", "0.01:1e200", "--grid", "2"]) == 0
+        rows = capsys.readouterr().out.split("\n")
+        assert rows[2] == "-4,9.9999999999999997e+199,1.5625e-202,1"
+        assert rows[4] == "1,9.9999999999999997e+199,2.5e-201,1"
+
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         args = ["stability", "--grid", "12", "--format", "svg"]

@@ -38,6 +38,10 @@ GOLDEN = [
     ("stability-singular", ["stability", "--scheme", "iem", "--mu-range", "0:4",
                             "--dt-range", "0.25:0.75", "--grid", "3"], None,
      "ab7b61c6d6a70006279ec0dc70d4a0533bdb51bf11fc1b06d4dced8982d513a2"),
+    # a dt column holding the singular cell mu*dt = 3 among regular ones
+    ("stability-singular-column", ["stability", "--mu-range", "-42.9:13.3", "--dt-range",
+                                   "3.698630136986274:4.698630136986274", "--grid", "46"], None,
+     "ca8d00b4b8071612a1ca8925853170d88e83f65114d07f3c841f3f2bf8932393"),
     ("local-error", ["local-error", "--dt-list", "0.25,0.125", "--samples", "500"], None,
      "6c76ba8cad9dd2f6169be4411456ccf10b85493d70a65cf18d6aed602d99130a"),
 ]

@@ -6,7 +6,8 @@ import pytest
 from qpisde import (GbmParams, InvalidInputError, SchemeId,
                     SingularBlockError, SingularStepError, TimeGrid,
                     exact_solution, generate_path, integrate, mix_seed,
-                    qpi_block_coeffs, qpi_block_solve_oracle)
+                    qpi_block_solve_oracle)
+from qpisde.schemes import _qpi_alpha_beta
 
 P = GbmParams(mu=-1.0, sigma=0.5)
 
@@ -88,19 +89,19 @@ class TestSteps:
 
 class TestQpiBlock:
     def test_zero_dynamics(self):
-        c = qpi_block_coeffs(GbmParams(mu=0.0, sigma=0.0), 0.1, 0.3, -0.2)
-        assert c.alpha == pytest.approx(1.0, rel=1e-15)
-        assert c.beta == pytest.approx(1.0, rel=1e-15)
+        alpha, beta = _qpi_alpha_beta(0.0, 0.0, 0.1, 0.3, -0.2)
+        assert alpha == pytest.approx(1.0, rel=1e-15)
+        assert beta == pytest.approx(1.0, rel=1e-15)
 
     def test_deterministic_block(self):
-        c = qpi_block_coeffs(GbmParams(mu=-1.0, sigma=0.0), 0.1, 0.0, 0.0)
-        assert c.alpha == pytest.approx(0.9048337, rel=1e-6)
-        assert c.beta == pytest.approx(0.8187312, rel=1e-6)
+        alpha, beta = _qpi_alpha_beta(-1.0, 0.0, 0.1, 0.0, 0.0)
+        assert alpha == pytest.approx(0.9048337, rel=1e-6)
+        assert beta == pytest.approx(0.8187312, rel=1e-6)
 
     def test_zero_drift_closed_form(self):
-        c = qpi_block_coeffs(GbmParams(mu=0.0, sigma=0.5), 0.1, 0.1, 0.2)
-        assert c.alpha == pytest.approx(1.05, rel=1e-14)
-        assert c.beta == pytest.approx(1.15, rel=1e-14)
+        alpha, beta = _qpi_alpha_beta(0.0, 0.5, 0.1, 0.1, 0.2)
+        assert alpha == pytest.approx(1.05, rel=1e-14)
+        assert beta == pytest.approx(1.15, rel=1e-14)
 
     def test_oracle_deterministic_block(self):
         c = qpi_block_solve_oracle(GbmParams(mu=-1.0, sigma=0.0), 0.1, 0.0, 0.0)
@@ -117,10 +118,10 @@ class TestQpiBlock:
             s = math.sqrt(dt)
             dwa, dwb = rng.uniform(-3 * s, 3 * s, size=2)
             p = GbmParams(mu=mu, sigma=sigma)
-            c = qpi_block_coeffs(p, dt, dwa, dwb)
+            alpha, beta = _qpi_alpha_beta(p.mu, p.sigma, dt, dwa, dwb)
             o = qpi_block_solve_oracle(p, dt, dwa, dwb)
-            assert c.alpha == pytest.approx(o.alpha, rel=1e-12, abs=1e-12)
-            assert c.beta == pytest.approx(o.beta, rel=1e-12, abs=1e-12)
+            assert alpha == pytest.approx(o.alpha, rel=1e-12, abs=1e-12)
+            assert beta == pytest.approx(o.beta, rel=1e-12, abs=1e-12)
 
     def test_block_equations_residuals(self):
         # substituting (alpha, beta) back into the two quadrature equations
@@ -132,8 +133,7 @@ class TestQpiBlock:
             sigma = rng.uniform(0.0, 2.0)
             s = math.sqrt(dt)
             dwa, dwb = rng.normal(0.0, s, size=2)
-            c = qpi_block_coeffs(GbmParams(mu=mu, sigma=sigma), dt, dwa, dwb)
-            a, b = c.alpha, c.beta
+            a, b = _qpi_alpha_beta(mu, sigma, dt, dwa, dwb)
             h = mu * dt
             r_double = (b - 1.0) - h * (1.0 / 3.0 + 4.0 * a / 3.0 + b / 3.0) \
                 - sigma * (dwa + dwb)
@@ -149,13 +149,13 @@ class TestQpiBlock:
         for h in np.linspace(-0.25, 0.25, 101):
             if h == 0.0:
                 continue
-            c = qpi_block_coeffs(GbmParams(mu=h, sigma=0.0), 1.0, 0.0, 0.0)
-            assert abs(c.beta - math.exp(2.0 * h)) <= 10.0 * abs(h) ** 4
+            _, beta = _qpi_alpha_beta(h, 0.0, 1.0, 0.0, 0.0)
+            assert abs(beta - math.exp(2.0 * h)) <= 10.0 * abs(h) ** 4
 
     def test_singular_block(self):
         # 1 - mu*dt/3 = 0 at mu*dt = 3
         with pytest.raises(SingularBlockError):
-            qpi_block_coeffs(GbmParams(mu=3.0, sigma=0.5), 1.0, 0.0, 0.0)
+            _qpi_alpha_beta(3.0, 0.5, 1.0, 0.0, 0.0)
         with pytest.raises(SingularBlockError):
             qpi_block_solve_oracle(GbmParams(mu=3.0, sigma=0.5), 1.0, 0.0, 0.0)
 
@@ -207,11 +207,11 @@ class TestIntegrate:
         path = generate_path(31, 1.0, 4)
         traj = integrate(SchemeId.QPI, P, grid, path)
         dw = np.diff(path)
-        c0 = qpi_block_coeffs(P, grid.dt, dw[0], dw[1])
-        c1 = qpi_block_coeffs(P, grid.dt, dw[2], dw[3])
+        alpha0, beta0 = _qpi_alpha_beta(P.mu, P.sigma, grid.dt, dw[0], dw[1])
+        alpha1, beta1 = _qpi_alpha_beta(P.mu, P.sigma, grid.dt, dw[2], dw[3])
         x0 = P.x0
-        expected = [x0, c0.alpha * x0, c0.beta * x0,
-                    c1.alpha * c0.beta * x0, c1.beta * c0.beta * x0]
+        expected = [x0, alpha0 * x0, beta0 * x0,
+                    alpha1 * beta0 * x0, beta1 * beta0 * x0]
         assert traj == pytest.approx(expected, rel=1e-13)
 
     def test_one_step_schemes_sequential(self):

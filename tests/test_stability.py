@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -114,6 +114,10 @@ class TestReferenceAmplifications:
         with pytest.raises(SingularStepError):
             iem_amplification(2.0, 0.5, 0.5)
 
+    def test_iem_squared_denominator_overflow(self):
+        # (1 - mu*dt)^2 = 1.6e401 overflows; the quotient itself is a normal float
+        assert iem_amplification(-4.0, 0.5, 1e200) == 1.5625e-202
+
     def test_milstein_values(self):
         assert milstein_amplification(-1.0, 0.5, 0.5) == \
             pytest.approx(0.3828125, rel=1e-14)
@@ -141,6 +145,39 @@ class TestReferenceAmplifications:
         m2 = m * m
         se = m2.std() / 1000
         assert abs(milstein_amplification(mu, sigma, dt) - m2.mean()) <= 4 * se
+
+
+CONDITION_FNS = {
+    "qpi-paper": qpi_paper_lhs,
+    "qpi-exact": qpi_exact_amplification,
+    "iem": iem_amplification,
+    "milstein": milstein_amplification,
+}
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("fn", CONDITION_FNS.values(), ids=CONDITION_FNS.keys())
+class TestConditionsBroadcast:
+    # no mu*dt below is 1 or 3, so every condition is regular on these grids
+    MU = np.array([-3.0, -1.0, 0.0, 0.4])
+    DT = np.array([0.1, 0.2, 0.35])
+
+    def test_scalar_mu_array_dt(self, fn):
+        out = fn(-1.0, 0.5, self.DT)
+        assert out.shape == self.DT.shape
+        for j in range(len(self.DT)):
+            assert bits(out[j]) == bits(fn(np.array([-1.0]), 0.5, self.DT[j:j + 1])[0])
+
+    def test_outer_grid(self, fn):
+        out = fn(self.MU[:, None], 0.5, self.DT[None, :])
+        assert out.shape == (len(self.MU), len(self.DT))
+        for i in range(len(self.MU)):
+            for j in range(len(self.DT)):
+                ref = fn(self.MU[i:i + 1], 0.5, self.DT[j:j + 1])[0]
+                assert bits(out[i, j]) == bits(ref)
 
 
 class TestEvaluateAndScan:
@@ -267,3 +304,52 @@ class TestWritersMatchPerCellReference:
         lines = region_to_svg(grid).split("\n")
         assert lines[4:4 + len(cells)] == cells
         assert lines[4 + len(cells)].startswith("<line")
+
+
+def scan_reference(condition, sigma, mu_axis, dt_axis):
+    """Per-cell reference scan: the public condition on one-element mu arrays,
+    with SingularStepError read as lhs = nan and unstable."""
+    fn = CONDITION_FNS[condition]
+    lhs = np.full((len(mu_axis), len(dt_axis)), np.nan)
+    for i in range(len(mu_axis)):
+        for j, dt in enumerate(dt_axis):
+            try:
+                lhs[i, j] = fn(mu_axis[i:i + 1], sigma, dt)[0]
+            except SingularStepError:
+                pass
+    return lhs, lhs < 1.0
+
+
+@st.composite
+def singular_scans(draw):
+    """(resolution, mu_range, dt_range) whose grid has a cell at mu*dt = 1 or 3 exactly.
+
+    The planted mu is an end of the mu range, where np.linspace puts it exactly.
+    """
+    n = draw(st.integers(2, 12))
+    dt_lo = draw(st.floats(0.01, 5.0))
+    dt_range = (dt_lo, dt_lo + draw(st.floats(0.01, 5.0)))
+    dt_axis = np.linspace(*dt_range, n)
+    dt = dt_axis[draw(st.integers(0, n - 1))]
+    target = draw(st.sampled_from([1.0, 3.0]))
+    mu = target / dt
+    assume(mu * dt == target)
+    span = draw(st.floats(0.1, 50.0))
+    mu_range = (mu - span, mu) if draw(st.booleans()) else (mu, mu + span)
+    return n, mu_range, dt_range
+
+
+class TestScanMatchesPerCellReference:
+    # a column holding the singular cell mu*dt = 3; a scalar evaluation of
+    # that column prints mu = 13.3 one ulp away from the array value
+    @example(condition="qpi-paper", sigma=0.5,
+             scan=(46, (-42.9, 13.3), (3.698630136986274, 4.698630136986274)))
+    @settings(max_examples=100, deadline=None)
+    @given(condition=st.sampled_from(sorted(CONDITION_FNS)), sigma=st.floats(0.0, 2.0),
+           scan=singular_scans())
+    def test_scan(self, condition, sigma, scan):
+        resolution, mu_range, dt_range = scan
+        grid = region_scan(condition, sigma, mu_range, dt_range, resolution)
+        lhs, verdicts = scan_reference(condition, sigma, grid.mu_axis, grid.dt_axis)
+        assert np.array_equal(bits(grid.lhs), bits(lhs))
+        assert np.array_equal(grid.verdicts, verdicts)
