@@ -8,7 +8,7 @@ from .analysis import (ConvergenceTable, ErrorReport, LocalErrorReport,
 from .brownian import coarsen, generate_path, mix_seed
 from .errors import (InvalidInputError, QpisdeError, SingularBlockError,
                      SingularStepError)
-from .model import GbmParams, TimeGrid, exact_solution
+from .model import GbmParams, exact_solution
 from .schemes import QpiBlockCoeffs, SchemeId, integrate, qpi_block_solve_oracle
 from .stability import (RegionGrid, iem_amplification, milstein_amplification,
                         qpi_exact_amplification, qpi_paper_lhs, region_scan,
@@ -20,7 +20,7 @@ __all__ = [
     "ConvergenceTable", "ErrorReport", "GbmParams",
     "InvalidInputError", "LocalErrorReport", "QpiBlockCoeffs", "QpisdeError",
     "RegionGrid", "SchemeId", "SingularBlockError", "SingularStepError",
-    "TimeGrid", "coarsen", "convergence_study", "error_norms",
+    "coarsen", "convergence_study", "error_norms",
     "estimate_order", "exact_solution", "generate_path", "iem_amplification",
     "integrate", "local_error_study", "milstein_amplification", "mix_seed",
     "qpi_block_solve_oracle", "qpi_exact_amplification", "qpi_paper_lhs",

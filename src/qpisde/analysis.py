@@ -21,7 +21,7 @@ import numpy as np
 
 from .brownian import _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
-from .model import GbmParams, TimeGrid, exact_solution
+from .model import GbmParams, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 NORMS = ("l1", "l2", "linf")
@@ -62,7 +62,6 @@ class ErrorReport:
 class ConvergenceTable:
     """Error reports over a refinement ladder, with fitted orders per norm."""
 
-    t_end: float
     rows: list[ErrorReport] = field(default_factory=list)
 
     def errors(self, scheme: SchemeId, norm: str) -> tuple[list[int], list[float]]:
@@ -74,7 +73,7 @@ class ConvergenceTable:
 
     def estimated_order(self, scheme: SchemeId, norm: str) -> float:
         n_list, errs = self.errors(scheme, norm)
-        return estimate_order(n_list, errs, t_end=self.t_end)
+        return estimate_order(n_list, errs)
 
     def to_csv(self) -> str:
         lines = ["scheme,n,l1,l2,linf,n_paths"]
@@ -100,14 +99,11 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
         raise InvalidInputError("n_list must be strictly ascending and nonempty")
     n_max = n_list[-1]
     for n in n_list:
-        if n_max % n != 0:
-            raise InvalidInputError(f"every n in n_list must divide max(n_list); {n} does not divide {n_max}")
-        if SchemeId.QPI in schemes and n % 2 != 0:
-            raise InvalidInputError("N must be even for qpi")
+        if n < 1 or n_max % n != 0:
+            raise InvalidInputError(f"every n in n_list must be >= 1 and divide max(n_list); got {n} for {n_max}")
     if n_paths < 1:
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
 
-    grids = {n: TimeGrid(t_end=t_end, n_steps=n) for n in n_list}
     norms = {(s, n): np.empty((3, n_paths)) for s in schemes for n in n_list}
     block = max(1, _BATCH_VALUES // (n_max + 1))
     for start in range(0, n_paths, block):
@@ -116,11 +112,11 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
                              t_end, n_max)
         for n in n_list:
             w = coarsen(fine, n_max // n)
-            exact = exact_solution(params, grids[n], w)
+            exact = exact_solution(params, t_end, w)
             for s in schemes:
-                approx = integrate(s, params, grids[n], w, milstein_sign=milstein_sign)
+                approx = integrate(s, params, t_end, w, milstein_sign=milstein_sign)
                 norms[(s, n)][:, start:stop] = error_norms(exact, approx)
-    table = ConvergenceTable(t_end=t_end)
+    table = ConvergenceTable()
     for (s, n), v in norms.items():
         # the mean adds the paths in order, so it does not depend on the block size
         l1, l2, linf = np.add.accumulate(v, axis=1)[:, -1] / n_paths
@@ -128,15 +124,15 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     return table
 
 
-def estimate_order(n_list, errors, t_end: float = 1.0) -> float:
-    """Least-squares slope of log(error) against log(dt) with dt = t_end/n."""
+def estimate_order(n_list, errors) -> float:
+    """Least-squares slope of log(error) against log(1/n), i.e. against log(t_end/n) for any t_end."""
     n_list = np.asarray(n_list, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if len(n_list) < 2 or len(n_list) != len(errors):
         raise InvalidInputError("need at least 2 matching (n, error) points")
     if np.any(errors <= 0):
         raise InvalidInputError("errors must be positive for a log-log fit")
-    x = np.log(t_end / n_list)
+    x = -np.log(n_list)
     y = np.log(errors)
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidInputError
+from .model import _step_size
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,13 +51,9 @@ def generate_path(seed, t_end: float, n_fine: int) -> np.ndarray:
     sequence of seeds gives one such row per seed. np.diff of the nodes gives
     the increments, each N(0, t_end/n_fine).
     """
-    if n_fine < 1:
-        raise InvalidInputError(f"n_fine must be >= 1, got {n_fine}")
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise InvalidInputError(f"t_end must be positive and finite, got {t_end}")
+    scale = math.sqrt(_step_size(t_end, n_fine))
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    scale = math.sqrt(t_end / n_fine)
     w = np.zeros((len(seeds), n_fine + 1))
     for row, s in zip(w, seeds):
         np.cumsum(_standard_normal(np.random.default_rng(s), n_fine) * scale, out=row[1:])

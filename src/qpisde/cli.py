@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, brownian, stability
 from .errors import InvalidInputError, QpisdeError
-from .model import GbmParams, TimeGrid, exact_solution
+from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
 
@@ -96,19 +96,18 @@ def cmd_simulate(args) -> int:
     scheme = SchemeId.parse(args.scheme)
     if n_paths < 1:
         raise InvalidInputError(f"--paths must be >= 1, got {n_paths}")
-    grid = TimeGrid(t_end=t_end, n_steps=n)
     w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
-    approx = integrate(scheme, params, grid, w, milstein_sign=args.milstein_sign)
+    approx = integrate(scheme, params, t_end, w, milstein_sign=args.milstein_sign)
     if n_paths == 1:
         header = "t,exact,approx"
-        columns = np.concatenate((exact_solution(params, grid, w), approx))
+        columns = np.concatenate((exact_solution(params, t_end, w), approx))
     else:
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
         columns = approx
     _require_finite(columns, "simulated trajectory")
     row_format = ",".join(["%.17g"] * (len(columns) + 1))
     lines = [header]
-    for t, values in zip(grid.times.tolist(), columns.T.tolist()):
+    for t, values in zip(np.linspace(0.0, t_end, n + 1).tolist(), columns.T.tolist()):
         lines.append(row_format % (t, *values))
     _write_output(args.output, "\n".join(lines) + "\n")
     return 0
@@ -126,8 +125,6 @@ def cmd_converge(args) -> int:
 
 def cmd_stability(args) -> int:
     mu_range, dt_range = _parse_range(args.mu_range), _parse_range(args.dt_range)
-    if args.format not in ("csv", "svg"):
-        raise InvalidInputError(f"--format must be csv or svg, got {args.format!r}")
     grid = stability.region_scan(args.scheme, args.sigma, mu_range, dt_range, args.grid)
     text = stability.region_to_csv(grid) if args.format == "csv" else stability.region_to_svg(grid)
     _write_output(args.output, text)
@@ -220,16 +217,21 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv: list[str]) -> argparse.Namespace:
     """Parse argv again with the config file's values as the subcommand's
-    defaults, so flags still win and each value goes through its flag's type."""
+    defaults, so flags still win and each value passes its flag's type and choices."""
     config = _load_config(args.config)
     unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
     if unknown:
         raise InvalidInputError(
             f"{args.config}: unknown key(s) for {args.command}: {', '.join(unknown)}")
     # argparse keeps no public handle on a subcommand's parser
-    (subparsers,) = parser._subparsers._group_actions
-    subparsers.choices[args.command].set_defaults(**config)
-    return parser.parse_args(argv)
+    subparser = parser._subparsers._group_actions[0].choices[args.command]
+    subparser.set_defaults(**config)
+    args = parser.parse_args(argv)
+    for action in subparser._actions:  # argparse checks choices on flags, not on defaults
+        if action.choices is not None and getattr(args, action.dest) not in action.choices:
+            raise InvalidInputError(f"{args.config}: {action.dest} must be one of "
+                                    f"{', '.join(action.choices)}, got {getattr(args, action.dest)!r}")
+    return args
 
 
 def main(argv=None) -> int:

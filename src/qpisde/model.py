@@ -35,43 +35,24 @@ class GbmParams:
             raise InvalidInputError(f"sigma must be >= 0, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid on [0, t_end] with n_steps steps of size dt = t_end/n_steps."""
-
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise InvalidInputError(f"t_end must be positive and finite, got {self.t_end}")
-        if not isinstance(self.n_steps, (int, np.integer)):
-            raise InvalidInputError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
-            raise InvalidInputError(f"n_steps must be >= 1, got {self.n_steps}")
-
-    @property
-    def dt(self) -> float:
-        return self.t_end / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
-
-    def require_even(self) -> None:
-        if self.n_steps % 2 != 0:
-            raise InvalidInputError("N must be even for qpi")
+def _step_size(t_end: float, n) -> float:
+    """The step t_end / n of n uniform steps on [0, t_end]; the one check of t_end and N."""
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise InvalidInputError(f"t_end must be positive and finite, got {t_end}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInputError(f"the step count must be an integer >= 1, got {n!r}")
+    return t_end / n
 
 
-def exact_solution(params: GbmParams, grid: TimeGrid, w) -> np.ndarray:
-    """Evaluate x0 * exp((mu - sigma^2/2) t + sigma W(t)) at the grid nodes.
+def exact_solution(params: GbmParams, t_end: float, w) -> np.ndarray:
+    """Evaluate x0 * exp((mu - sigma^2/2) t + sigma W(t)) at the nodes of [0, t_end].
 
-    w holds the Wiener values at the N+1 nodes on its last axis (W(0) = 0),
-    one row per path, so the result is the pathwise exact solution driven by
-    the same noise as a numerical trajectory.
+    w holds the Wiener values at the N+1 uniform nodes on its last axis
+    (W(0) = 0), one row per path, so the result is the pathwise exact solution
+    driven by the same noise as a numerical trajectory.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape[-1:] != (grid.n_steps + 1,):
-        raise InvalidInputError(
-            f"w must have {grid.n_steps + 1} nodes on its last axis, got shape {w.shape}")
-    return params.x0 * np.exp((params.mu - 0.5 * params.sigma**2) * grid.times + params.sigma * w)
+    n = w.shape[-1] - 1 if w.ndim else 0
+    _step_size(t_end, n)
+    times = np.linspace(0.0, t_end, n + 1)
+    return params.x0 * np.exp((params.mu - 0.5 * params.sigma**2) * times + params.sigma * w)

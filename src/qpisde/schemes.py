@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBlockError, SingularStepError
-from .model import GbmParams, TimeGrid
+from .model import GbmParams, _step_size
 
 
 class SchemeId(enum.Enum):
@@ -51,6 +51,11 @@ def _qpi_block_system(h):
     """Block denominators D = 1 - h + h^2/3, E = 1 - h/3 and where either is 0 (h = mu*dt)."""
     d1, d2 = 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
     return d1, d2, np.logical_or(d1 == 0.0, d2 == 0.0)
+
+
+def _iem_singular(h):
+    """Where the drift-implicit EM step's divisor 1 - h vanishes (h = mu*dt)."""
+    return 1.0 - h == 0.0
 
 
 def _qpi_denominators(h):
@@ -101,10 +106,9 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
     if scheme is SchemeId.EULER_MARUYAMA:
         return 1.0 + mu * dt + sigma * dW
     if scheme is SchemeId.IMPLICIT_EM:
-        den = 1.0 - mu * dt
-        if den == 0.0:
+        if _iem_singular(mu * dt):
             raise SingularStepError(f"implicit EM step singular: mu*dt = 1 (mu={mu}, dt={dt})")
-        return (1.0 + sigma * dW) / den
+        return (1.0 + sigma * dW) / (1.0 - mu * dt)
     if scheme is SchemeId.MILSTEIN:
         if milstein_sign not in ("standard", "paper"):
             raise InvalidInputError(
@@ -114,26 +118,25 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
     raise InvalidInputError(f"not a one-step scheme: {scheme}")
 
 
-def integrate(scheme: SchemeId, params: GbmParams, grid: TimeGrid,
+def integrate(scheme: SchemeId, params: GbmParams, t_end: float,
               w, milstein_sign: str = "standard") -> np.ndarray:
-    """Run one scheme over the whole grid, driven by matching Wiener paths.
+    """Run one scheme over [0, t_end], driven by matching Wiener paths.
 
-    w holds the Wiener values at the N+1 grid nodes on its last axis, one row
-    per path; the result has its shape. The two-step scheme requires an even
-    N and fills nodes pairwise from the block multipliers; the one-step
+    w holds the Wiener values at the N+1 uniform nodes on its last axis, one
+    row per path; the result has its shape. The two-step scheme requires an
+    even N and fills nodes pairwise from the block multipliers; the one-step
     schemes fill sequentially.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape[-1:] != (grid.n_steps + 1,):
-        raise InvalidInputError(
-            f"path shape {w.shape} does not match grid n_steps {grid.n_steps}")
-    dt = grid.dt
+    n = w.shape[-1] - 1 if w.ndim else 0
+    dt = _step_size(t_end, n)
     dW = np.diff(w)
     # unit-x0 trajectory scaled once at the end, so trajectories are
     # node-wise exactly linear in x0
     values = np.ones(w.shape)
     if scheme is SchemeId.QPI:
-        grid.require_even()
+        if n % 2 != 0:
+            raise InvalidInputError("N must be even for qpi")
         alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt,
                                       dW[..., 0::2], dW[..., 1::2])
         np.cumprod(beta, axis=-1, out=values[..., 2::2])

@@ -19,11 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularStepError
-from .schemes import _qpi_block_system, _qpi_denominators
+from .schemes import _iem_singular, _qpi_block_system, _qpi_denominators
+
+_SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
 
 
 def _value(out):  # a 0-d result as a float, any other as the array
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _mu_dt(mu, dt):
+    """h = mu*dt, after checking that every dt is finite and > 0."""
+    if not np.all(np.isfinite(dt) & np.greater(dt, 0)):
+        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
+    return np.asarray(mu, dtype=float) * dt
 
 
 def qpi_paper_lhs(mu: float, sigma: float, dt: float):
@@ -31,7 +40,7 @@ def qpi_paper_lhs(mu: float, sigma: float, dt: float):
 
     Accepts scalars or broadcastable arrays.
     """
-    h = np.asarray(mu, dtype=float) * dt
+    h = _mu_dt(mu, dt)
     s2 = sigma * sigma
     d1, d2 = _qpi_denominators(h)
     a1 = 1.0 + 2.0 * h / 3.0 - h**3 / 9.0
@@ -50,7 +59,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
     beta = A + B*dWa + C*dWb with dWa, dWb independent N(0, dt); A, B, C
     follow from the closed-form block coefficients.
     """
-    h = np.asarray(mu, dtype=float) * dt
+    h = _mu_dt(mu, dt)
     s = sigma
     d1, d2 = _qpi_denominators(h)
     a0 = (1.0 - h * h / 6.0) / d1
@@ -62,13 +71,9 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
     return _value(big_a**2 + (big_b**2 + big_c**2) * dt)
 
 
-def _iem_singular(h):  # the implicit EM step divides by 1 - mu*dt
-    return 1.0 - h == 0.0
-
-
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
-    h = np.asarray(mu, dtype=float) * dt
+    h = _mu_dt(mu, dt)
     if np.any(_iem_singular(h)):
         raise SingularStepError("implicit EM amplification singular: mu*dt = 1")
     num, den = 1.0 + sigma * sigma * dt, 1.0 - h
@@ -83,9 +88,7 @@ def milstein_amplification(mu: float, sigma: float, dt: float):
     Identical for both sign conventions: the correction term is orthogonal
     to dW and its square is sign-insensitive.
     """
-    if np.any(dt <= 0):
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    h = np.asarray(mu, dtype=float) * dt
+    h = _mu_dt(mu, dt)
     return _value((1.0 + h)**2 + sigma * sigma * dt + 0.5 * sigma**4 * dt * dt)
 
 
@@ -166,20 +169,20 @@ def region_to_csv(grid: RegionGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def region_to_svg(grid: RegionGrid, width: int = 640, height: int = 480) -> str:
+def region_to_svg(grid: RegionGrid) -> str:
     """Render the stable cells of a region scan as a standalone SVG document."""
     ml, mr, mt, mb = 60, 20, 40, 50  # margins
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _SVG_WIDTH - ml - mr, _SVG_HEIGHT - mt - mb
     mu, dt = grid.mu_axis, grid.dt_axis
     nmu, ndt = len(mu), len(dt)
     cw, ch = pw / nmu, ph / ndt
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<title>Stability region: {grid.condition}, sigma={grid.sigma:g}</title>',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<text x="{_SVG_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
         f'Stability region ({grid.condition}, sigma={grid.sigma:g})</text>',
     ]
     # one rect per stable cell, row-major over (mu, dt) as np.nonzero returns them
@@ -202,7 +205,7 @@ def region_to_svg(grid: RegionGrid, width: int = 640, height: int = 480) -> str:
         py = mt + ph - fx * ph
         parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{py + 4:.1f}" text-anchor="end" font-size="12">{yv:.3g}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle" font-size="14">mu</text>')
+    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" font-size="14">mu</text>')
     parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" font-size="14" '
                  f'transform="rotate(-90 18 {mt + ph / 2:.1f})">dt</text>')
     parts.append("</svg>")

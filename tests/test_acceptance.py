@@ -39,7 +39,7 @@ import time
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, SchemeId, TimeGrid, convergence_study,
+from qpisde import (GbmParams, SchemeId, convergence_study,
                     generate_path, integrate, local_error_study, mix_seed,
                     qpi_block_solve_oracle, qpi_exact_amplification, qpi_paper_lhs)
 from qpisde.cli import main
@@ -91,9 +91,8 @@ def test_criterion_2_deterministic_limit():
     p = GbmParams(mu=-1.0, sigma=0.0)
     errs = {}
     for n in (10, 40):
-        grid = TimeGrid(t_end=1.0, n_steps=n)
-        traj = integrate(SchemeId.QPI, p, grid, np.zeros(n + 1))
-        errs[n] = float(np.max(np.abs(traj - np.exp(-grid.times))))
+        traj = integrate(SchemeId.QPI, p, 1.0, np.zeros(n + 1))
+        errs[n] = float(np.max(np.abs(traj - np.exp(-np.linspace(0.0, 1.0, n + 1)))))
     ratio = errs[10] / errs[40]
     ok = errs[10] <= 1e-4 and ratio >= 30.0
     report(2, ok, f"Linf(N=10)={errs[10]:.2e}, ratio={ratio:.1f}")
@@ -190,11 +189,10 @@ def test_criterion_7_empirical_stability():
 
     def mean_square_final(mu, n_paths=10**4):
         p = GbmParams(mu=mu, sigma=0.5)
-        grid = TimeGrid(t_end=20.0, n_steps=320)  # dt = 2^-4
         total = 0.0
         for k in range(n_paths):
-            path = generate_path(mix_seed(2024, k), 20.0, 320)
-            total += integrate(SchemeId.QPI, p, grid, path)[-1] ** 2
+            path = generate_path(mix_seed(2024, k), 20.0, 320)  # dt = 2^-4
+            total += integrate(SchemeId.QPI, p, 20.0, path)[-1] ** 2
         return total / n_paths
 
     stable = mean_square_final(-1.0)

@@ -92,6 +92,9 @@ class TestConvergenceStudy:
             convergence_study(["qpi"], p, [16, 4], 2, 0)
         with pytest.raises(InvalidInputError):
             convergence_study(["qpi"], p, [6, 16], 2, 0)  # 6 does not divide 16
+        for n_list in ([0, 4], [-4, 4]):
+            with pytest.raises(InvalidInputError, match="n_list"):
+                convergence_study(["em"], p, n_list, 2, 0)
         with pytest.raises(InvalidInputError):
             convergence_study(["qpi"], p, [3, 12], 2, 0)  # odd N with qpi
         with pytest.raises(InvalidInputError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpisde import (GbmParams, SchemeId, TimeGrid, analysis, coarsen,
+from qpisde import (GbmParams, SchemeId, analysis, coarsen,
                     convergence_study, error_norms, exact_solution,
                     generate_path, integrate, mix_seed, qpi_block_solve_oracle)
 from qpisde.schemes import _qpi_alpha_beta
@@ -36,22 +36,21 @@ def test_generate_path_rows_equal_single_seed(seeds, n, t_end):
        scheme=st.sampled_from(list(SchemeId)),
        sign=st.sampled_from(["standard", "paper"]))
 def test_batched_layers_equal_single_rows(seeds, half, params, scheme, sign):
-    grid = TimeGrid(t_end=1.0, n_steps=2 * half)
     w = generate_path(seeds, 1.0, 2 * half)
-    exact = exact_solution(params, grid, w)
-    approx = integrate(scheme, params, grid, w, milstein_sign=sign)
+    exact = exact_solution(params, 1.0, w)
+    approx = integrate(scheme, params, 1.0, w, milstein_sign=sign)
     norms = error_norms(exact, approx)
     assert exact.shape == approx.shape == w.shape
     assert all(v.shape == (len(seeds),) for v in norms)
     for k, row in enumerate(w):
-        exact_k = exact_solution(params, grid, row)
-        approx_k = integrate(scheme, params, grid, row, milstein_sign=sign)
+        exact_k = exact_solution(params, 1.0, row)
+        approx_k = integrate(scheme, params, 1.0, row, milstein_sign=sign)
         assert np.array_equal(exact[k], exact_k)
         assert np.array_equal(approx[k], approx_k)
         assert tuple(v[k] for v in norms) == error_norms(exact_k, approx_k)
     # leading axes beyond one broadcast the same way
     stacked = np.stack([w, w])
-    assert np.array_equal(integrate(scheme, params, grid, stacked, milstein_sign=sign),
+    assert np.array_equal(integrate(scheme, params, 1.0, stacked, milstein_sign=sign),
                           np.stack([approx, approx]))
 
 
@@ -60,11 +59,10 @@ def test_batched_layers_equal_single_rows(seeds, half, params, scheme, sign):
        scheme=st.sampled_from(list(SchemeId)),
        sign=st.sampled_from(["standard", "paper"]))
 def test_integrate_exactly_linear_in_x0(seeds, half, params, scheme, sign):
-    grid = TimeGrid(t_end=1.0, n_steps=2 * half)
     w = generate_path(seeds, 1.0, 2 * half)
     unit = GbmParams(mu=params.mu, sigma=params.sigma, x0=1.0)
-    assert np.array_equal(integrate(scheme, params, grid, w, milstein_sign=sign),
-                          params.x0 * integrate(scheme, unit, grid, w, milstein_sign=sign))
+    assert np.array_equal(integrate(scheme, params, 1.0, w, milstein_sign=sign),
+                          params.x0 * integrate(scheme, unit, 1.0, w, milstein_sign=sign))
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,11 +99,10 @@ def per_path_table(seed):
     for k in range(N_PATHS):
         fine = generate_path(mix_seed(seed, k), 1.0, N_LIST[-1])
         for n in N_LIST:
-            grid = TimeGrid(t_end=1.0, n_steps=n)
             w = coarsen(fine, N_LIST[-1] // n)
-            exact = exact_solution(P, grid, w)
+            exact = exact_solution(P, 1.0, w)
             for s in SCHEMES:
-                norms = np.array(error_norms(exact, integrate(SchemeId(s), P, grid, w)))
+                norms = np.array(error_norms(exact, integrate(SchemeId(s), P, 1.0, w)))
                 acc[(s, n)] = acc[(s, n)] + norms if (s, n) in acc else norms
     return {key: tuple(v / N_PATHS) for key, v in acc.items()}
 

@@ -207,6 +207,7 @@ class TestInputContract:
     @pytest.mark.parametrize("argv,config,named", [
         (["converge", "--n-list", "4,16,abc", "--paths", "2"], None, "abc"),
         (["converge", "--n-list", "4.6,16", "--paths", "2"], None, "4.6"),
+        (["converge", "--n-list", "0,4", "--paths", "2"], None, "n_list"),
         (["stability", "--mu-range", "a:b", "--grid", "3"], None, "'a'"),
         (["simulate", "--n", "4"], "mu=abc\n", "abc"),
         (["simulate"], "nn=4\n", "nn"),
@@ -219,9 +220,12 @@ class TestInputContract:
          "inf or nan"),
         (["stability", "--scheme", "milstein", "--mu-range", "-4:1", "--dt-range", "0.01:1e200",
           "--grid", "2"], None, "inf or nan"),
-    ], ids=["n-list-word", "n-list-fraction", "range-word", "config-word", "config-unknown-key",
-            "sigma-nan", "sigma-negative", "mu-range-overflow", "dt-range-inf", "dt-list-nan",
-            "qpi-paper-overflow", "milstein-overflow"])
+        (["simulate", "--n", "4"], "milstein_sign=bogus\n", "bogus"),
+        (["stability", "--grid", "2"], "format=pdf\n", "pdf"),
+    ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
+            "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
+            "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
+            "config-choice", "config-format"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpisde import (GbmParams, InvalidInputError, SchemeId,
-                    SingularBlockError, SingularStepError, TimeGrid,
+                    SingularBlockError, SingularStepError,
                     exact_solution, generate_path, integrate, mix_seed,
                     qpi_block_solve_oracle)
 from qpisde.schemes import _qpi_alpha_beta
@@ -20,8 +20,7 @@ def one_step(scheme, params, dt, x, dw, milstein_sign="standard"):
     """State after one step of size dt from x, through integrate on a one-step grid."""
     path = np.array([0.0, dw])
     start = GbmParams(mu=params.mu, sigma=params.sigma, x0=x)
-    traj = integrate(scheme, start, TimeGrid(t_end=dt, n_steps=1), path,
-                     milstein_sign=milstein_sign)
+    traj = integrate(scheme, start, dt, path, milstein_sign=milstein_sign)
     return traj[1]
 
 
@@ -163,62 +162,50 @@ class TestQpiBlock:
 class TestIntegrate:
     def test_qpi_deterministic_limit(self):
         p = GbmParams(mu=-1.0, sigma=0.0)
-        grid = TimeGrid(t_end=1.0, n_steps=10)
-        traj = integrate(SchemeId.QPI, p, grid, zero_noise_path(10))
-        assert np.max(np.abs(traj - np.exp(-grid.times))) < 1e-4
+        traj = integrate(SchemeId.QPI, p, 1.0, zero_noise_path(10))
+        assert np.max(np.abs(traj - np.exp(-np.linspace(0.0, 1.0, 11)))) < 1e-4
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_constant_trajectory(self, scheme):
         p = GbmParams(mu=0.0, sigma=0.0, x0=2.5)
-        grid = TimeGrid(t_end=1.0, n_steps=8)
-        traj = integrate(scheme, p, grid, zero_noise_path(8))
+        traj = integrate(scheme, p, 1.0, zero_noise_path(8))
         assert np.all(traj == 2.5)
 
     def test_qpi_close_to_exact_on_default_seed(self):
         p = GbmParams(mu=-1.0, sigma=0.5)
-        grid = TimeGrid(t_end=1.0, n_steps=256)
         path = generate_path(mix_seed(85, 0), 1.0, 256)
-        exact = exact_solution(p, grid, path)
-        approx = integrate(SchemeId.QPI, p, grid, path)
+        exact = exact_solution(p, 1.0, path)
+        approx = integrate(SchemeId.QPI, p, 1.0, path)
         assert np.max(np.abs(exact - approx)) < 5e-3
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_linearity_in_x0(self, scheme):
-        grid = TimeGrid(t_end=1.0, n_steps=16)
         path = generate_path(21, 1.0, 16)
-        base = integrate(scheme, GbmParams(mu=-1.0, sigma=0.5, x0=1.0), grid, path)
-        scaled = integrate(scheme, GbmParams(mu=-1.0, sigma=0.5, x0=3.0), grid, path)
+        base = integrate(scheme, GbmParams(mu=-1.0, sigma=0.5, x0=1.0), 1.0, path)
+        scaled = integrate(scheme, GbmParams(mu=-1.0, sigma=0.5, x0=3.0), 1.0, path)
         assert np.array_equal(scaled, 3.0 * base)
 
     def test_qpi_odd_n_rejected(self):
-        grid = TimeGrid(t_end=1.0, n_steps=9)
         with pytest.raises(InvalidInputError, match="even"):
-            integrate(SchemeId.QPI, P, grid, zero_noise_path(9))
-
-    def test_resolution_mismatch_rejected(self):
-        grid = TimeGrid(t_end=1.0, n_steps=8)
-        with pytest.raises(InvalidInputError):
-            integrate(SchemeId.EULER_MARUYAMA, P, grid, zero_noise_path(4))
+            integrate(SchemeId.QPI, P, 1.0, zero_noise_path(9))
 
     def test_qpi_pairwise_fill(self):
         # odd nodes are alpha times the previous even node, even nodes chain
         # through beta
-        grid = TimeGrid(t_end=1.0, n_steps=4)
         path = generate_path(31, 1.0, 4)
-        traj = integrate(SchemeId.QPI, P, grid, path)
+        traj = integrate(SchemeId.QPI, P, 1.0, path)
         dw = np.diff(path)
-        alpha0, beta0 = _qpi_alpha_beta(P.mu, P.sigma, grid.dt, dw[0], dw[1])
-        alpha1, beta1 = _qpi_alpha_beta(P.mu, P.sigma, grid.dt, dw[2], dw[3])
+        alpha0, beta0 = _qpi_alpha_beta(P.mu, P.sigma, 1.0 / 4, dw[0], dw[1])
+        alpha1, beta1 = _qpi_alpha_beta(P.mu, P.sigma, 1.0 / 4, dw[2], dw[3])
         x0 = P.x0
         expected = [x0, alpha0 * x0, beta0 * x0,
                     alpha1 * beta0 * x0, beta1 * beta0 * x0]
         assert traj == pytest.approx(expected, rel=1e-13)
 
     def test_one_step_schemes_sequential(self):
-        grid = TimeGrid(t_end=1.0, n_steps=3)
         path = generate_path(41, 1.0, 3)
-        traj = integrate(SchemeId.MILSTEIN, P, grid, path)
-        dt = grid.dt
+        traj = integrate(SchemeId.MILSTEIN, P, 1.0, path)
+        dt = 1.0 / 3
         x = P.x0
         for i, dw in enumerate(np.diff(path)):
             x = x * (1.0 + P.mu * dt + P.sigma * dw + 0.5 * P.sigma**2 * (dw * dw - dt))

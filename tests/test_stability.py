@@ -180,6 +180,13 @@ class TestConditionsBroadcast:
                 assert bits(out[i, j]) == bits(ref)
 
 
+@pytest.mark.parametrize("dt", [-0.5, 0.0, np.nan])
+@pytest.mark.parametrize("fn", CONDITION_FNS.values(), ids=CONDITION_FNS.keys())
+def test_conditions_reject_dt_not_finite_and_positive(fn, dt):
+    with pytest.raises(InvalidInputError, match="dt must be finite and > 0"):
+        fn(-1.0, 0.5, dt)
+
+
 class TestEvaluateAndScan:
     def test_scan_zero_drift_row_unstable(self):
         for cond in ("qpi-paper", "qpi-exact"):
