@@ -42,8 +42,11 @@ def error_norms(exact, approx):
     n = exact.shape[-1] - 1
     if n < 1:
         raise InvalidInputError("trajectories must have at least two nodes")
-    e = np.abs(exact - approx)
-    return e.sum(axis=-1) / n, np.sqrt((e * e).sum(axis=-1) / n), e.max(axis=-1)
+    e = exact - approx
+    np.abs(e, out=e)
+    l1, linf = e.sum(axis=-1) / n, e.max(axis=-1)
+    e *= e
+    return l1, np.sqrt(e.sum(axis=-1) / n), linf
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,9 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     same Wiener values. Rows hold the mean of each norm over the paths.
     """
     schemes = [SchemeId.parse(s) if isinstance(s, str) else s for s in schemes]
+    n_list = list(n_list)
+    if not all(isinstance(n, (int, np.integer)) for n in n_list):
+        raise InvalidInputError(f"every n in n_list must be an integer, got {n_list}")
     n_list = [int(n) for n in n_list]
     if not n_list or sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise InvalidInputError("n_list must be strictly ascending and nonempty")
@@ -180,8 +186,8 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
     mean_sq = np.empty_like(dts)
     mu, sigma, x0 = params.mu, params.sigma, params.x0
     for k, dt in enumerate(dts):
-        rng = np.random.default_rng(mix_seed(master_seed, k))
-        z = _standard_normal(rng, 2 * n_paths) * math.sqrt(dt)
+        z = _standard_normal(np.random.PCG64(mix_seed(master_seed, k)).random_raw(2 * n_paths))
+        z *= math.sqrt(dt)
         dWa, dWb = z[:n_paths], z[n_paths:]
         _, beta = _qpi_alpha_beta(mu, sigma, dt, dWa, dWb)
         exact = np.exp((mu - 0.5 * sigma**2) * 2.0 * dt + sigma * (dWa + dWb))

@@ -5,11 +5,14 @@ one row per path. It is generated once at a finest resolution; every coarser
 grid in a convergence study restricts the same node values, so all schemes
 and all step counts see the same underlying randomness.
 
-Sampling method (fixed for reproducibility): a numpy PCG64 generator seeded
-with the path seed produces 53-bit uniforms, which are mapped to standard
-normals through the inverse normal CDF (scipy.special.ndtri) and scaled by
-sqrt(dt). Per-path seeds for Monte Carlo runs are derived from a master seed
-and the path index with a splitmix64 mix.
+Sampling method (fixed for reproducibility): a numpy PCG64 bit generator
+seeded with the path seed gives one raw 64-bit word per increment; its top 53
+bits k become the uniform (k + 0.5) / 2^53, which is mapped to a standard
+normal through the inverse normal CDF (scipy.special.ndtri) and scaled by
+sqrt(dt). The k are exactly default_rng(seed).integers(0, 2**53): for a
+power-of-two range numpy's bounded-integer draw never rejects a word and
+keeps its top 53 bits. Per-path seeds for Monte Carlo runs are derived from
+a master seed and the path index with a splitmix64 mix.
 """
 
 from __future__ import annotations
@@ -37,11 +40,17 @@ def mix_seed(master_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-CDF normals from 53-bit uniforms (k + 0.5) / 2^53 strictly inside (0, 1);
-    for k >= 2^52 the + 0.5 rounds to even, and k = 2^53 - 1 (u = 1) is clamped to 1 - 2^-53."""
-    u = (rng.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) / float(1 << 53)
-    return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u))
+def _standard_normal(raw: np.ndarray) -> np.ndarray:
+    """Inverse-CDF normals from raw PCG64 words, computed in their own memory.
+
+    The top 53 bits k of each word give u = (k + 0.5) / 2^53 strictly inside
+    (0, 1): for k >= 2^52 the + 0.5 rounds to even, and k = 2^53 - 1 (u = 1)
+    is clamped to 1 - 2^-53. The result is a float64 view of raw.
+    """
+    u = np.add(np.right_shift(raw, 11, out=raw), 0.5, out=raw.view(np.float64))
+    u /= float(1 << 53)
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u, out=u)
 
 
 def generate_path(seed, t_end: float, n_fine: int) -> np.ndarray:
@@ -55,8 +64,13 @@ def generate_path(seed, t_end: float, n_fine: int) -> np.ndarray:
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     w = np.zeros((len(seeds), n_fine + 1))
-    for row, s in zip(w, seeds):
-        np.cumsum(_standard_normal(np.random.default_rng(s), n_fine) * scale, out=row[1:])
+    # raw words, normals, increments and nodes share w's memory in turn
+    raw = w[:, 1:].view(np.uint64)
+    for row, s in zip(raw, seeds):
+        row[:] = np.random.PCG64(s).random_raw(n_fine)
+    z = _standard_normal(raw)
+    z *= scale
+    np.cumsum(z, axis=-1, out=z)
     return w[0] if single else w
 
 

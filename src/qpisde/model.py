@@ -54,5 +54,8 @@ def exact_solution(params: GbmParams, t_end: float, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     _step_size(t_end, n)
-    times = np.linspace(0.0, t_end, n + 1)
-    return params.x0 * np.exp((params.mu - 0.5 * params.sigma**2) * times + params.sigma * w)
+    x = params.sigma * w
+    x += (params.mu - 0.5 * params.sigma**2) * np.linspace(0.0, t_end, n + 1)
+    np.exp(x, out=x)
+    x *= params.x0
+    return x

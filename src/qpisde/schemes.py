@@ -87,8 +87,8 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
 
     Kept independent of the closed form; used to cross-check it in tests.
     """
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
     h = params.mu * dt
     s = params.sigma
     _qpi_denominators(h)  # singularity guard only; the solve below is independent
@@ -130,18 +130,21 @@ def integrate(scheme: SchemeId, params: GbmParams, t_end: float,
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     dt = _step_size(t_end, n)
-    dW = np.diff(w)
     # unit-x0 trajectory scaled once at the end, so trajectories are
-    # node-wise exactly linear in x0
-    values = np.ones(w.shape)
+    # node-wise exactly linear in x0; the increments np.diff(w) are held in
+    # the trajectory's own nodes 1..N until the multipliers replace them
+    values = np.empty(w.shape)
+    values[..., 0] = 1.0
+    dW = np.subtract(w[..., 1:], w[..., :-1], out=values[..., 1:])
     if scheme is SchemeId.QPI:
         if n % 2 != 0:
             raise InvalidInputError("N must be even for qpi")
         alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt,
                                       dW[..., 0::2], dW[..., 1::2])
         np.cumprod(beta, axis=-1, out=values[..., 2::2])
-        values[..., 1::2] = alpha * values[..., 0:-1:2]
+        np.multiply(alpha, values[..., 0:-1:2], out=values[..., 1::2])
     else:
         mult = _one_step_multipliers(scheme, params, dt, dW, milstein_sign)
-        np.cumprod(mult, axis=-1, out=values[..., 1:])
-    return params.x0 * values
+        np.cumprod(mult, axis=-1, out=dW)
+    values *= params.x0
+    return values

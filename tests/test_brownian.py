@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -116,19 +118,39 @@ def test_mix_seed_paths_independent():
     assert abs(r) < 0.1
 
 
-class TopDrawGenerator:
-    """Stands in for np.random.Generator: four fixed 53-bit draws, the highest included."""
-
-    K = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
-
-    def integers(self, low, high, size, dtype):
-        assert (low, high, size, dtype) == (0, 1 << 53, 4, np.uint64)
-        return self.K.copy()
+TOP_DRAWS = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
 
 
 def test_standard_normal_finite_at_top_draw():
-    # k = 2^53 - 1 makes k + 0.5 round to 2^53, so u = 1 would map to +inf
-    z = _standard_normal(TopDrawGenerator(), 4)
+    # k = 2^53 - 1 makes k + 0.5 round to 2^53, so u = 1 would map to +inf;
+    # the low 11 bits of each raw word are set and must be dropped (the last word is 2^64 - 1)
+    raw = (TOP_DRAWS << np.uint64(11)) | np.uint64(0x7FF)
+    assert raw[-1] == np.uint64(2**64 - 1)
+    z = _standard_normal(raw)
     assert np.all(np.isfinite(z))
-    expected = ndtri((TopDrawGenerator.K[:3] + 0.5) / float(1 << 53))
+    expected = ndtri((TOP_DRAWS[:3] + 0.5) / float(1 << 53))
     assert np.array_equal(z[:3].view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 85, 2**64 - 1] + [mix_seed(m, k) for m, k in ((0, 0), (7, 3), (85, 999))])
+def test_integers_equal_top_bits_of_raw_words(seed):
+    # the identity the raw-word sampling rests on: for a power-of-two range, numpy's
+    # bounded draw (Lemire's method) never rejects a word and keeps its top 53 bits
+    k = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**53, size=4096, dtype=np.uint64)
+    assert np.array_equal(k, np.random.PCG64(seed).random_raw(4096) >> np.uint64(11))
+
+
+def documented_path(seed, t_end, n):
+    """One path by the method README states: integers, uniforms, ndtri, scale, cumsum."""
+    k = np.random.default_rng(seed).integers(0, 2**53, size=n, dtype=np.uint64)
+    u = np.minimum((k + 0.5) / 2.0**53, 1.0 - 2.0**-53)
+    return np.concatenate(([0.0], np.cumsum(ndtri(u) * math.sqrt(t_end / n))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       n=st.integers(1, 300), t_end=st.floats(0.01, 100.0))
+def test_generate_path_equals_documented_method(seeds, n, t_end):
+    w = generate_path(seeds, t_end, n)
+    for row, s in zip(w, seeds, strict=True):
+        assert np.array_equal(row.view(np.uint64), documented_path(s, t_end, n).view(np.uint64))

@@ -20,6 +20,13 @@ GOLDEN = [
      "22f51bca47c93eea0bc1893e5dd9b3722ee30fd9dd16f2ab7849227f80cc932c"),
     ("simulate-milstein-paper", ["simulate", "--scheme", "milstein", "--milstein-sign", "paper"], None,
      "cddd066d536e2ccbf6736e6c7ef12d350ba0fcc6be721fedf1cc531891b8fb2d"),
+    # a non-unit t_end and x0 pin the increment scale sqrt(dt) and the x0 factor
+    ("simulate-t-end-x0-iem", ["simulate", "--t-end", "2.5", "--x0", "3", "--scheme", "iem",
+                               "--paths", "3"], None,
+     "842a8e4ce7362ae2d55de61a7cfcca1da37e7a18571b4ea905c4c4f916a168f9"),
+    ("simulate-t-end-x0-em", ["simulate", "--t-end", "2.5", "--x0", "3", "--scheme", "em",
+                              "--paths", "3"], None,
+     "5cd2cd302dfe68601ac39f732d7a57e41a804c0b5925dd70bea5521e22cb9bba"),
     ("converge", ["converge", "--n-list", "4,16,64", "--paths", "20"], None,
      "8b4ea8457ec712a02630c933edad2647f0ea0682922bb4ace460e4ba6e46e19c"),
     ("converge-config", ["converge"], CONVERGE_CONFIG,

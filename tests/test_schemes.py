@@ -158,6 +158,12 @@ class TestQpiBlock:
         with pytest.raises(SingularBlockError):
             qpi_block_solve_oracle(GbmParams(mu=3.0, sigma=0.5), 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_oracle_rejects_dt_not_finite_and_positive(self, dt):
+        # a nan or inf dt would give alpha = beta = nan and make any comparison vacuous
+        with pytest.raises(InvalidInputError, match="finite and > 0"):
+            qpi_block_solve_oracle(P, dt, 0.1, -0.2)
+
 
 class TestIntegrate:
     def test_qpi_deterministic_limit(self):
