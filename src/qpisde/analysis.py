@@ -97,6 +97,8 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     same Wiener values. Rows hold the mean of each norm over the paths.
     """
     schemes = [SchemeId.parse(s) if isinstance(s, str) else s for s in schemes]
+    if len(set(schemes)) != len(schemes):
+        raise InvalidInputError(f"schemes must not repeat, got {', '.join(s.value for s in schemes)}")
     n_list = list(n_list)
     if not all(isinstance(n, (int, np.integer)) for n in n_list):
         raise InvalidInputError(f"every n in n_list must be an integer, got {n_list}")
@@ -176,11 +178,11 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
     t = 2*dt driven by the same Wiener values.
     """
     dts = np.asarray(list(dt_list), dtype=float)
-    if dts.size == 0:
-        raise InvalidInputError("dt_list must be nonempty")
     if not np.all(np.isfinite(dts)) or np.any(dts <= 0) or np.any(np.diff(dts) >= 0):
         raise InvalidInputError(
             f"dt_list must be strictly descending finite positive values, got {dts.tolist()}")
+    if dts.size < 2:
+        raise InvalidInputError(f"dt_list needs at least 2 values to fit a slope, got {dts.tolist()}")
     if n_paths < 1:
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
     mean_sq = np.empty_like(dts)

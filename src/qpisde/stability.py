@@ -15,6 +15,7 @@ Both are compared against each other and against Monte Carlo in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -159,14 +160,17 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
 
 def region_to_csv(grid: RegionGrid) -> str:
     """Serialize a region scan as `mu,dt,lhs,stable` rows (row-major over mu)."""
-    dt_txt = [f"{dt:.17g}," for dt in grid.dt_axis.tolist()]
+    # one %-template per row, filled by one % over that row's (lhs, stable) pairs;
+    # the baked-in text is %.17g of an axis value, which never contains "%"
+    cells = [f"{dt:.17g},%.17g,%d\n" for dt in grid.dt_axis.tolist()]
     lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan).tolist()
-    stable = grid.verdicts.astype(int).tolist()
-    lines = ["mu,dt,lhs,stable"]
-    for mu, lhs_row, stable_row in zip(grid.mu_axis.tolist(), lhs, stable):
+    fields = [0] * (2 * len(cells))
+    rows = ["mu,dt,lhs,stable\n"]
+    for mu, lhs_row, stable_row in zip(grid.mu_axis.tolist(), lhs, grid.verdicts.tolist()):
         mu_txt = f"{mu:.17g},"
-        lines.extend([f"{mu_txt}{d}{v:.17g},{s}" for d, v, s in zip(dt_txt, lhs_row, stable_row)])
-    return "\n".join(lines) + "\n"
+        fields[0::2], fields[1::2] = lhs_row, stable_row
+        rows.append((mu_txt + mu_txt.join(cells)) % tuple(fields))
+    return "".join(rows)
 
 
 def region_to_svg(grid: RegionGrid) -> str:
@@ -185,12 +189,14 @@ def region_to_svg(grid: RegionGrid) -> str:
         f'<text x="{_SVG_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
         f'Stability region ({grid.condition}, sigma={grid.sigma:g})</text>',
     ]
-    # one rect per stable cell, row-major over (mu, dt) as np.nonzero returns them
-    x_txt = [f'<rect x="{ml + i * cw:.2f}" y="' for i in range(nmu)]
+    # one rect per stable cell, row-major over (mu, dt); a mu row with none adds no part
     y_txt = [f'{mt + ph - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" '
              f'height="{ch + 0.5:.2f}" fill="#7fb3d5"/>' for j in range(ndt)]
-    rows, cols = np.nonzero(grid.verdicts)
-    parts.extend([x_txt[i] + y_txt[j] for i, j in zip(rows.tolist(), cols.tolist())])
+    for i, stable_row in enumerate(grid.verdicts.tolist()):
+        ys = list(compress(y_txt, stable_row))
+        if ys:
+            x = f'<rect x="{ml + i * cw:.2f}" y="'
+            parts.append(x + ("\n" + x).join(ys))
     # axes
     parts.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>')

@@ -99,6 +99,9 @@ class TestConvergenceStudy:
             convergence_study(["qpi"], p, [3, 12], 2, 0)  # odd N with qpi
         with pytest.raises(InvalidInputError):
             convergence_study(["qpi"], p, [4, 16], 0, 0)
+        for schemes in (["qpi", "qpi"], ["qpi", "em", "QPI"]):
+            with pytest.raises(InvalidInputError, match="repeat"):
+                convergence_study(schemes, p, [4, 16], 2, 0)
 
     def test_em_allows_odd_n(self):
         p = GbmParams(mu=-1.0, sigma=0.5)
@@ -141,3 +144,5 @@ class TestLocalErrorStudy:
             local_error_study(self.P, [0.1, -0.05], 100, 0)
         with pytest.raises(InvalidInputError, match="finite"):
             local_error_study(self.P, [float("nan")], 100, 0)
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            local_error_study(self.P, [0.1], 100, 0)  # one point fits no slope

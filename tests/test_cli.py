@@ -222,10 +222,12 @@ class TestInputContract:
           "--grid", "2"], None, "inf or nan"),
         (["simulate", "--n", "4"], "milstein_sign=bogus\n", "bogus"),
         (["stability", "--grid", "2"], "format=pdf\n", "pdf"),
+        (["local-error", "--dt-list", "0.1"], None, "at least 2"),
+        (["converge", "--schemes", "qpi,QPI", "--paths", "3", "--n-list", "4,16"], None, "repeat"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
-            "config-choice", "config-format"])
+            "config-choice", "config-format", "dt-list-single", "schemes-repeated"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:

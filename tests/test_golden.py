@@ -45,6 +45,10 @@ GOLDEN = [
     ("stability-singular", ["stability", "--scheme", "iem", "--mu-range", "0:4",
                             "--dt-range", "0.25:0.75", "--grid", "3"], None,
      "ab7b61c6d6a70006279ec0dc70d4a0533bdb51bf11fc1b06d4dced8982d513a2"),
+    # the same singular scan drawn as SVG: the singular cells get no rect
+    ("stability-singular-svg", ["stability", "--scheme", "iem", "--mu-range", "0:4",
+                                "--dt-range", "0.25:0.75", "--grid", "3", "--format", "svg"], None,
+     "8ea1517465acfdf82d89e6129efd905eeb82b4944de5fd94d59fd5969fa20992"),
     # a dt column holding the singular cell mu*dt = 3 among regular ones
     ("stability-singular-column", ["stability", "--mu-range", "-42.9:13.3", "--dt-range",
                                    "3.698630136986274:4.698630136986274", "--grid", "46"], None,

@@ -297,14 +297,26 @@ def region_grids(draw):
                       verdicts=verdicts)
 
 
+# one all-stable, one all-unstable and one mixed mu row, with every special lhs value
+FIXED_GRID = RegionGrid(
+    condition="qpi-paper", sigma=0.5, mu_axis=np.array([-3.5, 0.0, 1e-300]),
+    dt_axis=np.array([0.01, 0.1, 1.0, 12.5, 1e300]),
+    lhs=np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324],
+                  [0.5, np.nan, 1.0, 5e-324, -0.0],
+                  [-np.inf, 0.25, np.inf, np.nan, 2.0 / 3.0]]),
+    verdicts=np.array([[True] * 5, [False] * 5, [False, True, False, True, True]]))
+
+
 class TestWritersMatchPerCellReference:
     @settings(max_examples=200, deadline=None)
     @given(grid=region_grids())
+    @example(grid=FIXED_GRID)
     def test_csv(self, grid):
         assert region_to_csv(grid) == csv_reference(grid)
 
     @settings(max_examples=200, deadline=None)
     @given(grid=region_grids())
+    @example(grid=FIXED_GRID)
     def test_svg_cells(self, grid):
         cells = svg_cells_reference(grid)
         # four header lines, the stable cells, then the axes
