@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvtext import _BATCH_VALUES
 from .brownian import _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 NORMS = ("l1", "l2", "linf")
-
-# values per block of paths in convergence_study; bounds its working memory
-_BATCH_VALUES = 1 << 16
 
 
 def error_norms(exact, approx):

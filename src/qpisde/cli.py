@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, brownian, stability
+from . import _csvtext, analysis, brownian, stability
 from .errors import InvalidInputError, QpisdeError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
@@ -105,11 +105,10 @@ def cmd_simulate(args) -> int:
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
         columns = approx
     _require_finite(columns, "simulated trajectory")
-    row_format = ",".join(["%.17g"] * (len(columns) + 1))
-    lines = [header]
-    for t, values in zip(np.linspace(0.0, t_end, n + 1).tolist(), columns.T.tolist()):
-        lines.append(row_format % (t, *values))
-    _write_output(args.output, "\n".join(lines) + "\n")
+    t = np.linspace(0.0, t_end, n + 1)
+    text = _csvtext.join(header, n + 1, len(columns) + 1, lambda rows: _csvtext.fields(
+        np.column_stack((t[rows], columns[:, rows].T))))
+    _write_output(args.output, text)
     return 0
 
 
@@ -198,14 +197,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_range_flags(argv: list[str]) -> list[str]:
-    """Join `--mu-range -4:1` into `--mu-range=-4:1` so argparse does not
-    mistake a negative range for an option."""
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Join `--mu -1e-3` into `--mu=-1e-3` and `--mu-range -4:1` into
+    `--mu-range=-4:1`. argparse reads any token that starts with '-' as an
+    option unless it is a plain negative number (no exponent, no range)."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--mu-range", "--dt-range") and i + 1 < len(argv):
+        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
+                and (tok in ("--mu-range", "--dt-range") or _is_negative_number(argv[i + 1]))):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -236,7 +245,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _merge_range_flags(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_dash_values(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -19,6 +19,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import _csvtext
 from .errors import InvalidInputError, SingularStepError
 from .schemes import _iem_singular, _qpi_block_system, _qpi_denominators
 
@@ -160,17 +161,18 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
 
 def region_to_csv(grid: RegionGrid) -> str:
     """Serialize a region scan as `mu,dt,lhs,stable` rows (row-major over mu)."""
-    # one %-template per row, filled by one % over that row's (lhs, stable) pairs;
-    # the baked-in text is %.17g of an axis value, which never contains "%"
-    cells = [f"{dt:.17g},%.17g,%d\n" for dt in grid.dt_axis.tolist()]
-    lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan).tolist()
-    fields = [0] * (2 * len(cells))
-    rows = ["mu,dt,lhs,stable\n"]
-    for mu, lhs_row, stable_row in zip(grid.mu_axis.tolist(), lhs, grid.verdicts.tolist()):
-        mu_txt = f"{mu:.17g},"
-        fields[0::2], fields[1::2] = lhs_row, stable_row
-        rows.append((mu_txt + mu_txt.join(cells)) % tuple(fields))
-    return "".join(rows)
+    # each axis value is formatted once; a cell's row picks its mu and dt fields
+    mu_txt, dt_txt = _csvtext.fields(grid.mu_axis), _csvtext.fields(grid.dt_axis)
+    lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan).ravel()
+    stable = np.asarray(grid.verdicts, dtype=bool).ravel().view(np.uint8)
+    bit_txt = _csvtext.fields([0.0, 1.0])  # "0" and "1"
+
+    def block(rows):
+        i, j = np.divmod(np.arange(rows.start, rows.stop), len(dt_txt))
+        return np.stack((mu_txt[i], dt_txt[j], _csvtext.fields(lhs[rows]),
+                         bit_txt[stable[rows]]), axis=1)
+
+    return _csvtext.join("mu,dt,lhs,stable", lhs.size, 4, block)
 
 
 def region_to_svg(grid: RegionGrid) -> str:

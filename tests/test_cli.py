@@ -239,6 +239,20 @@ class TestInputContract:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spaced,joined", [
+        (["simulate", "--mu", "-1e-3", "--n", "2"], ["simulate", "--mu=-1e-3", "--n", "2"]),
+        (["simulate", "--x0", "-2.5e0", "--n", "2"], ["simulate", "--x0=-2.5e0", "--n", "2"]),
+        (["local-error", "--mu", "-2E0", "--dt-list", "0.5,0.25", "--samples", "10"],
+         ["local-error", "--mu=-2E0", "--dt-list", "0.5,0.25", "--samples", "10"]),
+        (["simulate", "--n", "2", "--output", "-"], ["simulate", "--n", "2"]),
+    ], ids=["mu-exponent", "x0-exponent", "local-error-mu", "output-dash"])
+    def test_negative_value_after_flag(self, spaced, joined, capsys):
+        # argparse takes "-1e-3" for an option: only plain negatives like -3 pass unjoined
+        assert main(joined) == 0
+        expected = capsys.readouterr().out
+        assert main(spaced) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--mu", "1e308", "--n", "4"],
         ["simulate", "--mu", "1e308", "--n", "4", "--paths", "2"],

@@ -55,6 +55,21 @@ GOLDEN = [
      "ca8d00b4b8071612a1ca8925853170d88e83f65114d07f3c841f3f2bf8932393"),
     ("local-error", ["local-error", "--dt-list", "0.25,0.125", "--samples", "500"], None,
      "6c76ba8cad9dd2f6169be4411456ccf10b85493d70a65cf18d6aed602d99130a"),
+    # one run per layout class of the %.17g writer: a t column in e-notation below
+    # 1e-6 (exponent -7) and above it (-6, -5), negative integers with no ".",
+    # values of 1e17 and more, an exact 0 on the mu axis and a dt axis below 1e-6
+    ("simulate-t-e-07", ["simulate", "--t-end", "1e-6", "--n", "8", "--paths", "2"], None,
+     "2bc2c2d84b59284e9bfcd1c7bec1ac47df868ca4ad8fe84925fb00cd54ae8d31"),
+    ("simulate-t-e-06", ["simulate", "--t-end", "1e-5", "--n", "8", "--paths", "2"], None,
+     "5d3ce4bf537ca5e8eac765a3891ea4fbd399eb147f7944019288214a5edf3a82"),
+    ("simulate-negative-integers", ["simulate", "--x0", "-3", "--mu", "0", "--sigma", "0",
+                                    "--n", "4"], None,
+     "c3a60b90db8f81e80de0dceb78d3948b8b11c335c389ee4df247071651cafec7"),
+    ("simulate-e+17", ["simulate", "--x0=-1e18", "--n", "4", "--paths", "2", "--scheme", "em"],
+     None, "d7a37c7917230cab66c58284e32f91fd246aad3334f1bb8f8eda6e81b73b32f0"),
+    ("stability-zero-mu-tiny-dt", ["stability", "--mu-range", "-1:1", "--dt-range", "1e-9:1e-7",
+                                   "--grid", "3"], None,
+     "2a89e7aa6b5f3ae57b322dd36075bf8410de582ffdba96ecc1c782b01e46d45a"),
 ]
 
 
