@@ -8,7 +8,8 @@ and all step counts see the same underlying randomness.
 Sampling method (fixed for reproducibility): a numpy PCG64 bit generator
 seeded with the path seed gives one raw 64-bit word per increment; its top 53
 bits k become the uniform (k + 0.5) / 2^53, which is mapped to a standard
-normal through the inverse normal CDF (scipy.special.ndtri) and scaled by
+normal through the inverse normal CDF (scipy.special.ndtri, imported at the
+first draw, so code that draws no normal runs on numpy alone) and scaled by
 sqrt(dt). The k are exactly default_rng(seed).integers(0, 2**53): for a
 power-of-two range numpy's bounded-integer draw never rejects a word and
 keeps its top 53 bits. Per-path seeds for Monte Carlo runs are derived from
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidInputError
 from .model import _step_size
@@ -47,6 +47,7 @@ def _standard_normal(raw: np.ndarray) -> np.ndarray:
     (0, 1): for k >= 2^52 the + 0.5 rounds to even, and k = 2^53 - 1 (u = 1)
     is clamped to 1 - 2^-53. The result is a float64 view of raw.
     """
+    from scipy.special import ndtri  # ~0.3 s to import; only normal draws need it
     u = np.add(np.right_shift(raw, 11, out=raw), 0.5, out=raw.view(np.float64))
     u /= float(1 << 53)
     np.minimum(u, 1.0 - 2.0**-53, out=u)

@@ -12,7 +12,8 @@ defaults; the defaults mirror the reference experiment settings
 (mu=-1, sigma=0.5, x0=1, T=1). Config keys are the subcommand's long flag
 names; an unknown key or a value the flag would reject is an error.
 
-Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO failure.
+Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO/memory
+failure.
 """
 
 from __future__ import annotations
@@ -147,12 +148,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default="-", help="output file ('-' for stdout, the default)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, `qpisde <sub>: error: ...`, and exits 2."""
+
+    def error(self, message):
+        message = " ".join(message.splitlines())  # an argv word may hold a newline
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpisde",
         description="Two-step quadratic-interpolation scheme for GBM: "
                     "simulation, convergence and stability experiments.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
 
     p = sub.add_parser("simulate", help="simulate trajectories and dump them as CSV")
     _add_common(p)
@@ -250,14 +259,16 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _apply_config(parser, args, argv)
+        if not 0 <= args.seed < 1 << 64:
+            raise InvalidInputError(f"--seed must be in [0, 2^64), got {args.seed}")
         # overflow is reported once, by the commands' finite-output checks
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except QpisdeError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 1
 
 

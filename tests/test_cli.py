@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qpisde import cli
 from qpisde.cli import main
 
 
@@ -224,10 +225,14 @@ class TestInputContract:
         (["stability", "--grid", "2"], "format=pdf\n", "pdf"),
         (["local-error", "--dt-list", "0.1"], None, "at least 2"),
         (["converge", "--schemes", "qpi,QPI", "--paths", "3", "--n-list", "4,16"], None, "repeat"),
+        (["converge", "--seed", "-1", "--paths", "2", "--n-list", "4,16"], None, "--seed"),
+        (["converge", "--seed", str(2**64), "--paths", "2", "--n-list", "4,16"], None, "--seed"),
+        (["converge", "--paths", "2", "--n-list", "4,16"], "seed=-1\n", "--seed"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
-            "config-choice", "config-format", "dt-list-single", "schemes-repeated"])
+            "config-choice", "config-format", "dt-list-single", "schemes-repeated",
+            "seed-negative", "seed-2-64", "config-seed-negative"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:
@@ -267,3 +272,34 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "inf or nan" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--bogus"],
+        ["stability", "--format", "png"],
+        ["simulate", "--milstein-sign", "x"],
+        ["simulate", "--n", "abc"],
+        [],
+        ["simulate", "a\nb"],
+    ], ids=["unknown-flag", "format-png", "milstein-sign", "n-word", "no-subcommand",
+            "word-with-newline"])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "usage:" not in captured.err
+        assert captured.err.startswith("qpisde") and ": error: " in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_at_either_end_of_range_runs(self, seed, capsys):
+        assert main(["converge", "--seed", seed, "--paths", "2", "--n-list", "4,16"]) == 0
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 1.00 TiB for an array", "Unable to allocate 1.00 TiB for an array"),
+        ("", "MemoryError"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_is_one_line_exit_1(self, message, line, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "cmd_stability", out_of_memory)
+        assert main(["stability", "--grid", "2"]) == 1
+        assert capsys.readouterr().err == line + "\n"
