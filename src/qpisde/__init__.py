@@ -3,8 +3,7 @@ with reference schemes, mean-square stability analysis and strong-convergence
 experiments."""
 
 from .analysis import (ConvergenceTable, ErrorReport, LocalErrorReport,
-                       convergence_study, error_norms, estimate_order,
-                       local_error_study)
+                       convergence_study, error_norms, local_error_study)
 from .brownian import coarsen, generate_path, mix_seed
 from .errors import (InvalidInputError, QpisdeError, SingularBlockError,
                      SingularStepError)
@@ -21,7 +20,7 @@ __all__ = [
     "InvalidInputError", "LocalErrorReport", "QpiBlockCoeffs", "QpisdeError",
     "RegionGrid", "SchemeId", "SingularBlockError", "SingularStepError",
     "coarsen", "convergence_study", "error_norms",
-    "estimate_order", "exact_solution", "generate_path", "iem_amplification",
+    "exact_solution", "generate_path", "iem_amplification",
     "integrate", "local_error_study", "milstein_amplification", "mix_seed",
     "qpi_block_solve_oracle", "qpi_exact_amplification", "qpi_paper_lhs",
     "region_scan", "region_to_csv", "region_to_svg",

@@ -25,9 +25,6 @@ from .errors import InvalidInputError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
-NORMS = ("l1", "l2", "linf")
-
-
 def error_norms(exact, approx):
     """Discrete (l1, l2, linf) error norms along the last (node) axis.
 
@@ -61,20 +58,9 @@ class ErrorReport:
 
 @dataclass
 class ConvergenceTable:
-    """Error reports over a refinement ladder, with fitted orders per norm."""
+    """Error reports over a refinement ladder, one per (scheme, step count)."""
 
     rows: list[ErrorReport] = field(default_factory=list)
-
-    def errors(self, scheme: SchemeId, norm: str) -> tuple[list[int], list[float]]:
-        """(n_list, error list) for one scheme and norm, ascending in n."""
-        if norm not in NORMS:
-            raise InvalidInputError(f"unknown norm {norm!r}; expected one of {NORMS}")
-        rows = sorted((r for r in self.rows if r.scheme is scheme), key=lambda r: r.n_steps)
-        return [r.n_steps for r in rows], [getattr(r, norm) for r in rows]
-
-    def estimated_order(self, scheme: SchemeId, norm: str) -> float:
-        n_list, errs = self.errors(scheme, norm)
-        return estimate_order(n_list, errs)
 
     def to_csv(self) -> str:
         lines = ["scheme,n,l1,l2,linf,n_paths"]
@@ -130,27 +116,12 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     return table
 
 
-def estimate_order(n_list, errors) -> float:
-    """Least-squares slope of log(error) against log(1/n), i.e. against log(t_end/n) for any t_end."""
-    n_list = np.asarray(n_list, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if len(n_list) < 2 or len(n_list) != len(errors):
-        raise InvalidInputError("need at least 2 matching (n, error) points")
-    if np.any(errors <= 0):
-        raise InvalidInputError("errors must be positive for a log-log fit")
-    x = -np.log(n_list)
-    y = np.log(errors)
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
-
-
 @dataclass(frozen=True)
 class LocalErrorReport:
     """Mean-square one-block errors per dt, with the fitted log-log slope."""
 
     dt_list: np.ndarray
     mean_sq: np.ndarray
-    n_samples: int
 
     def slope(self) -> float:
         """Fitted slope of log E|delta|^2 against log dt."""
@@ -193,4 +164,4 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
         exact = np.exp((mu - 0.5 * sigma**2) * 2.0 * dt + sigma * (dWa + dWb))
         delta = x0 * (exact - beta)
         mean_sq[k] = float(np.mean(delta * delta))
-    return LocalErrorReport(dt_list=dts, mean_sq=mean_sq, n_samples=n_paths)
+    return LocalErrorReport(dt_list=dts, mean_sq=mean_sq)

@@ -10,7 +10,12 @@ Every subcommand is deterministic for fixed flags and seed. Flags override
 an optional `key=value` config file (--config), which overrides built-in
 defaults; the defaults mirror the reference experiment settings
 (mu=-1, sigma=0.5, x0=1, T=1). Config keys are the subcommand's long flag
-names; an unknown key or a value the flag would reject is an error.
+names. A key the subcommand does not have is an error naming the file and
+the key; every other line is spliced into argv as `--key=value` right after
+the subcommand word, so argparse checks it as the flag and reports a bad
+value in one line naming the flag, e.g. `argument --milstein-sign: invalid
+choice: 'bogus'`. `stability` takes --sigma but not --mu or --x0, and
+accepts --seed without using it.
 
 Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO/memory
 failure.
@@ -139,15 +144,6 @@ def cmd_local_error(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file (flags take precedence)")
-    p.add_argument("--mu", type=float, default=-1.0, help="drift (default %(default)s)")
-    p.add_argument("--sigma", type=float, default=0.5, help="volatility (default %(default)s)")
-    p.add_argument("--x0", type=float, default=1.0, help="initial value (default %(default)s)")
-    p.add_argument("--seed", type=int, default=85, help="master seed (default %(default)s)")
-    p.add_argument("--output", "-o", default="-", help="output file ('-' for stdout, the default)")
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, `qpisde <sub>: error: ...`, and exits 2."""
 
@@ -162,47 +158,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-step quadratic-interpolation scheme for GBM: "
                     "simulation, convergence and stability experiments.")
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
+    cmd = {}
+    for name, func, text in (
+            ("simulate", cmd_simulate, "simulate trajectories and dump them as CSV"),
+            ("converge", cmd_converge, "strong-convergence error table as CSV"),
+            ("stability", cmd_stability, "stability-region scan as CSV or SVG"),
+            ("local-error", cmd_local_error, "one-block mean-square error vs dt as CSV")):
+        p = cmd[name] = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value config file (flags take precedence)")
+        p.add_argument("--seed", type=int, default=85, help="master seed (default %(default)s)")
+        p.add_argument("--output", "-o", default="-", help="output file ('-' for stdout, the default)")
+        p.add_argument("--sigma", type=float, default=0.5, help="volatility (default %(default)s)")
+    for name in ("simulate", "converge", "local-error"):
+        cmd[name].add_argument("--mu", type=float, default=-1.0, help="drift (default %(default)s)")
+        cmd[name].add_argument("--x0", type=float, default=1.0, help="initial value (default %(default)s)")
+    for name in ("simulate", "converge"):
+        cmd[name].add_argument("--t-end", type=float, default=1.0, help="horizon T (default %(default)s)")
+        cmd[name].add_argument("--milstein-sign", choices=("standard", "paper"), default="standard",
+                               help="Milstein correction sign (default %(default)s)")
 
-    p = sub.add_parser("simulate", help="simulate trajectories and dump them as CSV")
-    _add_common(p)
-    p.add_argument("--t-end", type=float, dest="t_end", default=1.0, help="horizon T (default %(default)s)")
+    p = cmd["simulate"]
     p.add_argument("--n", type=int, default=256, help="number of steps (default %(default)s)")
     p.add_argument("--scheme", default="qpi", help="qpi|em|iem|milstein (default %(default)s)")
     p.add_argument("--paths", type=int, default=1, help="number of paths (default %(default)s)")
-    p.add_argument("--milstein-sign", dest="milstein_sign", choices=("standard", "paper"),
-                   default="standard", help="Milstein correction sign (default %(default)s)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("converge", help="strong-convergence error table as CSV")
-    _add_common(p)
-    p.add_argument("--t-end", type=float, dest="t_end", default=1.0, help="horizon T (default %(default)s)")
-    p.add_argument("--n-list", dest="n_list", default="4,16,64,256,1024",
+    p = cmd["converge"]
+    p.add_argument("--n-list", default="4,16,64,256,1024",
                    help="comma list of step counts (default %(default)s)")
     p.add_argument("--schemes", default="qpi,iem,milstein",
                    help="comma list of schemes (default %(default)s)")
     p.add_argument("--paths", type=int, default=500, help="Monte Carlo paths (default %(default)s)")
-    p.add_argument("--milstein-sign", dest="milstein_sign", choices=("standard", "paper"),
-                   default="standard", help="Milstein correction sign (default %(default)s)")
-    p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("stability", help="stability-region scan as CSV or SVG")
-    _add_common(p)
+    p = cmd["stability"]
     p.add_argument("--scheme", default="qpi-paper",
                    help="qpi-paper|qpi-exact|iem|milstein (default %(default)s)")
-    p.add_argument("--mu-range", dest="mu_range", default="-4:1", help="low:high (default %(default)s)")
-    p.add_argument("--dt-range", dest="dt_range", default="0.01:1", help="low:high (default %(default)s)")
+    p.add_argument("--mu-range", default="-4:1", help="low:high (default %(default)s)")
+    p.add_argument("--dt-range", default="0.01:1", help="low:high (default %(default)s)")
     p.add_argument("--grid", type=int, default=100, help="samples per axis (default %(default)s)")
     p.add_argument("--format", choices=("csv", "svg"), default="csv",
                    help="output format (default %(default)s)")
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("local-error", help="one-block mean-square error vs dt as CSV")
-    _add_common(p)
-    p.add_argument("--dt-list", dest="dt_list",
-                   default="0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625",
+    p = cmd["local-error"]
+    p.add_argument("--dt-list", default="0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625",
                    help="comma list of dt values, descending (default %(default)s)")
     p.add_argument("--samples", type=int, default=100000, help="samples per dt (default %(default)s)")
-    p.set_defaults(func=cmd_local_error)
     return parser
 
 
@@ -232,24 +232,18 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> argparse.Namespace:
-    """Parse argv again with the config file's values as the subcommand's
-    defaults, so flags still win and each value passes its flag's type and choices."""
+def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """argv with each config line spliced in as `--key=value` right after the
+    subcommand word: argparse checks it as it checks the flag, and a flag on
+    the command line comes later, so it wins. A key is a flag's dest, which
+    argparse derives from the flag name, hence `_` back to `-`."""
     config = _load_config(args.config)
     unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
     if unknown:
         raise InvalidInputError(
             f"{args.config}: unknown key(s) for {args.command}: {', '.join(unknown)}")
-    # argparse keeps no public handle on a subcommand's parser
-    subparser = parser._subparsers._group_actions[0].choices[args.command]
-    subparser.set_defaults(**config)
-    args = parser.parse_args(argv)
-    for action in subparser._actions:  # argparse checks choices on flags, not on defaults
-        if action.choices is not None and getattr(args, action.dest) not in action.choices:
-            raise InvalidInputError(f"{args.config}: {action.dest} must be one of "
-                                    f"{', '.join(action.choices)}, got {getattr(args, action.dest)!r}")
-    return args
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
@@ -258,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args = _apply_config(parser, args, argv)
+            args = parser.parse_args(_config_argv(args, argv))
         if not 0 <= args.seed < 1 << 64:
             raise InvalidInputError(f"--seed must be in [0, 2^64), got {args.seed}")
         # overflow is reported once, by the commands' finite-output checks

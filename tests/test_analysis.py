@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, InvalidInputError, SchemeId, convergence_study,
-                    error_norms, estimate_order, local_error_study)
+from qpisde import (GbmParams, InvalidInputError, convergence_study, error_norms,
+                    local_error_study)
 
 
 class TestErrorNorms:
@@ -38,38 +38,11 @@ class TestErrorNorms:
             assert l2 <= c * linf + 1e-14
 
 
-class TestEstimateOrder:
-    def test_exact_halving(self):
-        assert estimate_order([4, 8, 16], [0.1, 0.05, 0.025]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_quartering(self):
-        assert estimate_order([4, 8], [0.1, 0.025]) == pytest.approx(2.0, abs=1e-12)
-
-    def test_reference_column_slope(self):
-        n_list = [4, 16, 64, 256, 1024]
-        errs = [5.1669e-03, 2.3844e-03, 6.9950e-04, 1.9056e-04, 5.0966e-05]
-        # independent closed-form least-squares slope
-        x = np.log(1.0 / np.asarray(n_list))
-        y = np.log(errs)
-        ref = np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2)
-        got = estimate_order(n_list, errs)
-        assert got == pytest.approx(ref, rel=1e-10)
-        assert got == pytest.approx(0.85, abs=0.01)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            estimate_order([4], [0.1])
-        with pytest.raises(InvalidInputError):
-            estimate_order([4, 8], [0.1, 0.0])
-        with pytest.raises(InvalidInputError):
-            estimate_order([4, 8], [0.1, -0.5])
-
-
 class TestConvergenceStudy:
     def test_deterministic_refinement_monotone(self):
         p = GbmParams(mu=-1.0, sigma=0.0)
         table = convergence_study(["qpi"], p, [4, 8, 16, 32], 1, 5)
-        _, errs = table.errors(SchemeId.QPI, "linf")
+        errs = [r.linf for r in table.rows]  # one scheme, ascending n
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_reproducible_for_fixed_seed(self):

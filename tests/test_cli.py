@@ -195,6 +195,40 @@ class TestConfigAndHelp:
     def test_unknown_scheme(self, capsys):
         assert run(["simulate", "--scheme", "rk4", "--n", "8"]) == 2
 
+    def test_flag_before_config_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=4\nscheme=em\n")
+        out = tmp_path / "t.csv"
+        rc = run(["simulate", "--n", "8", "--config", str(cfg), "-o", str(out)])
+        assert rc == 0
+        assert len(out.read_text().strip().split("\n")) == 10
+
+    @pytest.mark.parametrize("argv,line,flag", [
+        (["simulate", "--scheme", "milstein", "--n", "8"], "milstein_sign=paper",
+         ["--milstein-sign", "paper"]),
+        (["stability", "--grid", "3"], "format=svg", ["--format", "svg"]),
+        (["simulate", "--n", "4"], "mu=-1e-3", ["--mu", "-1e-3"]),
+        (["converge", "--paths", "2"], "n_list=4,16", ["--n-list", "4,16"]),
+        (["stability", "--grid", "3"], "mu_range=-2:1", ["--mu-range", "-2:1"]),
+        (["local-error", "--samples", "10"], "dt-list=0.5,0.25", ["--dt-list", "0.5,0.25"]),
+    ], ids=["choice-milstein-sign", "choice-format", "negative-exponent", "list", "range",
+            "dash-key"])
+    def test_config_line_equals_flag(self, argv, line, flag, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(argv + flag) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(argv) == 0
+        assert capsys.readouterr().out != expected  # the line is not a default
+
+    def test_stability_help_has_no_mu_or_x0(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stability", "--help"])
+        text = capsys.readouterr().out
+        assert "--sigma" in text and "--mu " not in text and "--x0" not in text
+
 
 def exit_code(argv):
     """main's return value, or the code argparse exits with."""
@@ -228,11 +262,18 @@ class TestInputContract:
         (["converge", "--seed", "-1", "--paths", "2", "--n-list", "4,16"], None, "--seed"),
         (["converge", "--seed", str(2**64), "--paths", "2", "--n-list", "4,16"], None, "--seed"),
         (["converge", "--paths", "2", "--n-list", "4,16"], "seed=-1\n", "--seed"),
+        # stability has no --mu: argparse reads it as an abbreviation of --mu-range
+        (["stability", "--grid", "3", "--mu", "5"], None, "got '5'"),
+        (["stability", "--grid", "3"], "mu=5\n", "for stability: mu"),
+        (["stability", "--grid", "3"], "x0=7\n", "for stability: x0"),
+        # a config file cannot name another one: the splice would recurse
+        (["simulate"], "config=other.cfg\n", "for simulate: config"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
             "config-choice", "config-format", "dt-list-single", "schemes-repeated",
-            "seed-negative", "seed-2-64", "config-seed-negative"])
+            "seed-negative", "seed-2-64", "config-seed-negative", "stability-mu",
+            "config-stability-mu", "config-stability-x0", "config-key-config"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:
@@ -241,7 +282,7 @@ class TestInputContract:
             argv = argv + ["--config", str(cfg)]
         assert exit_code(argv + ["-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert named in err and "Traceback" not in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("spaced,joined", [
@@ -280,8 +321,9 @@ class TestInputContract:
         ["simulate", "--n", "abc"],
         [],
         ["simulate", "a\nb"],
+        ["stability", "--grid", "3", "--x0", "7"],
     ], ids=["unknown-flag", "format-png", "milstein-sign", "n-word", "no-subcommand",
-            "word-with-newline"])
+            "word-with-newline", "stability-x0"])
     def test_usage_error_is_one_line(self, argv, capsys):
         assert exit_code(argv) == 2
         captured = capsys.readouterr()
