@@ -11,8 +11,14 @@ Every other value (0, nan, inf, subnormals, |v| below ~1e-6 or from 1e17 up,
 and the rare value next to a power of ten for which x is not the exponent)
 goes through `"%.17g" %` itself, so the reference is also the fallback.
 
-A field is _WIDTH bytes: the text, padding bytes anywhere around it (NUL,
-or spaces after a fallback text), and a last byte left for the separator.
+Text is laid out in a plane, uint8 of shape (_WIDTH, values), whose row j
+holds byte j of every field; the layout of exponent x says what: a digit of
+the significand (NUL if a trailing zero after the point), the sign or point
+(NUL if absent), or a constant byte ('0', '.', 'e', '-', '5', '6', padding).
+A chunk is laid out whole in the layout of its most common x, one table
+lookup, copy or fill per row; values of any other x get planes of their own.
+A field is _WIDTH bytes: the text, padding bytes anywhere around it (NUL, or
+spaces after a fallback text), and a last byte left for the separator.
 `join` deletes the padding; the text of a number never holds a space.
 """
 
@@ -22,8 +28,7 @@ import functools
 
 import numpy as np
 
-# values per block of batched array work (the path blocks of convergence_study,
-# the row chunks of `join`); bounds its working memory
+# values per block of batched work (convergence_study's path blocks, join's chunks)
 _BATCH_VALUES = 1 << 16
 
 # the longest "%.17g" text is 24 bytes (-2.2250738585072014e-308), then a separator
@@ -34,108 +39,104 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles up to 1e22
 
 @functools.cache  # built on first use: a run that writes no CSV never holds them
 def _group_tables():
-    """For each 4-digit group 0000-9999: its ASCII digits as one uint32, and the
-    position (1-4) of its last nonzero digit, -inf for 0000. Group 100 * i + j
-    is the digit pair i followed by the digit pair j."""
-    pair = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint8).reshape(100, 2)
-    text = np.empty((100, 100, 4), dtype=np.uint8)
-    text[:, :, :2], text[:, :, 2:] = pair[:, None], pair[None, :]
-    last = np.array([2.0 if k % 10 else 1.0 if k else -np.inf for k in range(100)])
-    return text.view(np.uint32).ravel(), np.where(last > 0, last + 2, last[:, None]).ravel()
+    """For each 4-digit group 0000-9999: the ASCII of its digit i, as row i of a
+    (4, 10000) table, and the position (1-4) of its last nonzero digit, -64 for 0000."""
+    digits = np.arange(10_000) // np.array([[1000], [100], [10], [1]]) % 10
+    last = np.where(digits.any(0), 4 - (digits[::-1] != 0).argmax(0), -64)
+    return (digits + ord("0")).astype(np.uint8), last.astype(np.int8)
 
 
-# '0' in the last 4 - c digits of a group: subtracted, it drops those zeros
-_ZERO_TAIL = np.frombuffer(b"".join(b"\0" * c + b"0" * (4 - c) for c in range(5)), dtype=np.uint32)
-
-# Per-value source columns: digits 1-16 (four uint32 groups), digit 0, the
-# sign, the decimal point when a digit follows it, NUL, then constant text.
-_D0, _SIGN, _DOT, _NUL, _CONST = 16, 17, 18, 19, 20
-_CONSTANTS = np.frombuffer(b"0.e-56", dtype=np.uint8)
-_SRC_WIDTH = 28  # a multiple of 4, for the uint32 view
+# a field byte holds digit 0-16 of the significand, the sign, the point, or a constant
+_SIGN, _DOT, _NUL, _CONSTANTS = 17, 18, 19, b"\0" b"0.e-56"  # constants from _NUL on
 
 
-def _layouts():
-    """The source column of each field byte, for each exponent x in [-6, 16]."""
-    zero, point, e, minus, five = range(_CONST, _CONST + 5)
-    digits = [_D0] + list(range(16))
-    table = []
-    for x in range(-6, 17):
-        if x >= 0:  # 123.45
-            text = digits[:x + 1] + [_DOT] + digits[x + 1:]
-        elif x >= -4:  # 0.0012345
-            text = [zero, point] + [zero] * (-x - 1) + digits
-        else:  # 1.2345e-05
-            text = digits[:1] + [_DOT] + digits[1:] + [e, minus, zero, five + (-5 - x)]
-        table.append([_SIGN] + text + [_NUL] * (_WIDTH - 1 - len(text)))
-    return np.array(table)
+def _layout(x):
+    """What each field byte holds, for exponent x in [-6, 16]."""
+    zero, point, e, minus, five = range(_NUL + 1, _NUL + 6)
+    if x >= 0:  # 123.45
+        text = [*range(x + 1), _DOT, *range(x + 1, 17)]
+    elif x >= -4:  # 0.0012345
+        text = [zero, point] + [zero] * (-x - 1) + [*range(17)]
+    else:  # 1.2345e-05
+        text = [0, _DOT, *range(1, 17), e, minus, zero, five + (-5 - x)]
+    return [_SIGN] + text + [_NUL] * (_WIDTH - 1 - len(text))
 
 
-_LAYOUT = _layouts()
+_LAYOUTS = [_layout(x) for x in range(-6, 17)]
 
 
-def _split(a):
-    """Veltkamp's split: a == hi + lo, each with at most 26 significant bits."""
-    c = a * 134217729.0  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
+def _plane(x, columns):
+    """The fields of values of exponent x as a plane, from their columns: digit groups
+    (digit 0 as 000d, then 4 digits each), count of digits shown, sign and point."""
+    digits, _ = _group_tables()
+    *groups, shown, sign, dot = columns
+    plane = np.empty((_WIDTH, len(shown)), dtype=np.uint8)
+    for row, s in zip(plane, _LAYOUTS[x + 6]):
+        if s < _SIGN:  # digit s: position (s + 3) % 4 of group (s + 3) // 4
+            np.take(digits[(s + 3) % 4], groups[(s + 3) // 4], out=row, mode="clip")
+            if s > x:  # after the point: NUL if it is a trailing zero
+                row *= shown > s
+        else:
+            row[...] = (sign, dot, *_CONSTANTS)[s - _SIGN]
+    return plane
 
 
 def _scaled(a, x):
-    """(p, err) with p + err == a * 10**(16 - x) exactly, for x in [-6, 16]."""
+    """(p, err) with p + err == a * 10**(16 - x) exactly, for x in [-6, 16] (Dekker)."""
     b = _POW10.take((16 - x).astype(np.intp), mode="clip")
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
+    ca, cb = a * 134217729.0, b * 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def fields(values) -> np.ndarray:
-    """The `"%.17g"` text of each value as a field: uint8, shape values.shape + (_WIDTH,)."""
-    v = np.asarray(values, dtype=float)
-    out = np.empty(v.shape + (_WIDTH,), dtype=np.uint8)
-    v, rows = v.ravel(), out.reshape(-1, _WIDTH)
+def _significand(flat):
+    """(x, ok, q): x = floor(log10 |v|) and q its 17-digit significand where ok, else x = -7."""
     with np.errstate(all="ignore"):  # 0, nan and inf fail the range test below
-        a = np.abs(v)
+        a = np.abs(flat)
         lg = np.log10(a)
         x = np.where(np.isfinite(lg), np.floor(lg), 99.0)
         p, err = _scaled(a, x)
         r = np.rint(err)
-        # x is the exponent iff 1e16 <= p + err and q = p + r < 1e17. Next to a
-        # power of ten, log10 can be one off or q can round up to 1e17: such
-        # values go to the fallback
+        # x is the exponent iff 1e16 <= p + err and q = p + r < 1e17; next to a power of
+        # ten, log10 can be one off or q can round up to 1e17: those go to the fallback
         ok = ((x >= -6) & (x <= 16) & ((p > 1e16) | ((p == 1e16) & (err >= 0)))
               & ((p < 1e17) | ((p == 1e17) & (r < 0))))
-        p, r = np.where(ok, p, 1e16), np.where(ok, r, 0.0)
-    q = p.astype(np.int64) + r.astype(np.int64)
+        p, r, x = np.where(ok, p, 1e16), np.where(ok, r, 0.0), np.where(ok, x, -7.0).astype(np.int8)
+    return x, ok, p.astype(np.int64) + r.astype(np.int64)
 
-    src = np.zeros((len(v), _SRC_WIDTH), dtype=np.uint8)
-    digit4, last4 = _group_tables()
+
+def fields(values) -> np.ndarray:
+    """The `"%.17g"` text of each value as a field: uint8, shape values.shape + (_WIDTH,)."""
+    flat = np.asarray(values, dtype=float).ravel()
+    _, last4 = _group_tables()
+    x, ok, q = _significand(flat)
     d0, q = np.divmod(q, 10**16)
-    src[:, _D0] = d0 + ord("0")
     hi, lo = np.divmod(q, 10**8)
     groups = np.divmod(hi, 10**4) + np.divmod(lo, 10**4)
-    nd = np.ones(len(v))  # significant digits, trailing zeros dropped
+    nd = np.ones(len(flat), dtype=np.int8)  # significant digits, trailing zeros dropped
     for k, group in enumerate(groups):
-        np.maximum(nd, last4[group] + 4 * k + 1, out=nd)
+        np.maximum(nd, last4.take(group, mode="clip") + (4 * k + 1), out=nd)
     # trailing zeros after the decimal point are dropped, those before it kept
     shown = np.maximum(nd, x + 1)
-    for k, group in enumerate(groups):
-        kept = np.clip(shown - 4 * k - 1, 0, 4).astype(np.intp)
-        src.view(np.uint32)[:, k] = digit4[group] - _ZERO_TAIL[kept]
-    src[:, _SIGN] = np.where(v < 0, ord("-"), 0)
-    src[:, _DOT] = np.where(nd > np.maximum(x, 0) + 1, ord("."), 0)
-    src[:, _CONST:_CONST + len(_CONSTANTS)] = _CONSTANTS
-    # one byte gather per exponent present, along that exponent's layout
-    cls = np.where(ok, x + 6, -1.0)
-    for c in np.flatnonzero(np.bincount((cls + 1).astype(np.intp), minlength=24)[1:]).tolist():
-        at = np.flatnonzero(cls == c)
-        rows[at] = np.take(src[at], _LAYOUT[c], axis=1)
+    sign = (flat < 0).view(np.uint8) * ord("-")
+    dot = (nd > np.maximum(x, 0) + 1).view(np.uint8) * ord(".")
+    columns = (d0, *groups, shown, sign, dot)
+    cls = x + 6  # -1 for the fallback
+    counts = np.bincount(cls + 1, minlength=24)[1:]
+    major = int(counts.argmax())
+    out = np.empty((len(flat), _WIDTH), dtype=np.uint8)
+    out[...] = _plane(major - 6, columns).T  # every value, in the layout of the most common x
+    for c in np.flatnonzero(counts).tolist():
+        if c != major:
+            at = np.flatnonzero(cls == c)
+            out[at] = _plane(c - 6, [col[at] for col in columns]).T
     slow = np.flatnonzero(~ok)
-    if slow.size:  # one % for all of them, each padded with spaces to _WIDTH - 1 bytes
-        text = ("%-24.17g" * slow.size % tuple(v[slow].tolist())).encode("ascii")
-        rows[slow, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH - 1)
-        rows[slow, -1] = 0
-    return out
+    if slow.size:  # one % for all of them, each padded with spaces to _WIDTH - 1 bytes, then NUL
+        text = ("%-24.17g\0" * slow.size % tuple(flat[slow].tolist())).encode("ascii")
+        out[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
+    return out.reshape(np.shape(values) + (_WIDTH,))
 
 
 def join(header: str, n_rows: int, n_fields: int, block) -> str:
@@ -143,8 +144,7 @@ def join(header: str, n_rows: int, n_fields: int, block) -> str:
 
     block(rows) gives the fields of a slice of rows, as `fields` makes them:
     uint8, shape (rows, n_fields, _WIDTH). It is called on consecutive slices
-    of at most _BATCH_VALUES fields (at least one row), which bounds the
-    working memory.
+    of at most _BATCH_VALUES fields (at least one row), bounding the memory.
     """
     step = max(1, _BATCH_VALUES // n_fields)
     text = bytearray((header + "\n").encode("ascii"))

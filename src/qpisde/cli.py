@@ -17,6 +17,9 @@ value in one line naming the flag, e.g. `argument --milstein-sign: invalid
 choice: 'bogus'`. `stability` takes --sigma but not --mu or --x0, and
 accepts --seed without using it.
 
+A command that would hold more than MAX_VALUES float64 values at once exits 2,
+naming its size flags, before it draws or allocates anything.
+
 Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO/memory
 failure.
 """
@@ -32,6 +35,9 @@ from . import _csvtext, analysis, brownian, stability
 from .errors import InvalidInputError, QpisdeError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
+
+# the work-size budget: 2**26 float64 values are 512 MiB
+MAX_VALUES = 1 << 26
 
 
 def _load_config(path: str) -> dict:
@@ -78,6 +84,13 @@ def _parse_range(text: str) -> tuple[float, float]:
     return _number(parts[0]), _number(parts[1])
 
 
+def _check_size(values: int, flags: str) -> None:
+    """Refuse a run that would hold more than MAX_VALUES float64 values at once."""
+    if values > MAX_VALUES:
+        raise InvalidInputError(f"{flags}: the run would hold {values:.3g} values at once, "
+                                f"more than the limit of {MAX_VALUES}")
+
+
 def _require_finite(values, what: str) -> None:
     """Refuse to write output that overflowed to inf or nan."""
     if not np.all(np.isfinite(values)):
@@ -102,6 +115,7 @@ def cmd_simulate(args) -> int:
     scheme = SchemeId.parse(args.scheme)
     if n_paths < 1:
         raise InvalidInputError(f"--paths must be >= 1, got {n_paths}")
+    _check_size(n_paths * (n + 1), "--paths and --n")
     w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
     approx = integrate(scheme, params, t_end, w, milstein_sign=args.milstein_sign)
     if n_paths == 1:
@@ -120,7 +134,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     schemes = [SchemeId.parse(s) for s in args.schemes.split(",")]
-    table = analysis.convergence_study(schemes, _gbm_params(args), _parse_ints(args.n_list),
+    n_list = _parse_ints(args.n_list)
+    # a path block holds at most _BATCH_VALUES values or one path; each table
+    # row keeps 3 norms per path
+    _check_size(max(_csvtext._BATCH_VALUES, max(n_list) + 1)
+                + 3 * args.paths * len(schemes) * len(n_list), "--n-list, --paths and --schemes")
+    table = analysis.convergence_study(schemes, _gbm_params(args), n_list,
                                        args.paths, args.seed, t_end=args.t_end,
                                        milstein_sign=args.milstein_sign)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
@@ -129,6 +148,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_size(max(args.grid, 0) ** 2, "--grid")
     mu_range, dt_range = _parse_range(args.mu_range), _parse_range(args.dt_range)
     grid = stability.region_scan(args.scheme, args.sigma, mu_range, dt_range, args.grid)
     text = stability.region_to_csv(grid) if args.format == "csv" else stability.region_to_svg(grid)
@@ -137,6 +157,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_local_error(args) -> int:
+    _check_size(2 * args.samples, "--samples")
     report = analysis.local_error_study(_gbm_params(args), _parse_floats(args.dt_list),
                                         args.samples, args.seed)
     _require_finite(report.mean_sq, "local error")
@@ -145,7 +166,11 @@ def cmd_local_error(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, `qpisde <sub>: error: ...`, and exits 2."""
+    """Reports a usage error as one stderr line, `qpisde <sub>: error: ...`, and exits 2.
+    A flag is only its full name: `--path` is not `--paths`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         message = " ".join(message.splitlines())  # an argv word may hold a newline

@@ -1,10 +1,18 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from qpisde import cli
+from qpisde import _csvtext, cli
 from qpisde.cli import main
+from qpisde.errors import InvalidInputError
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -262,18 +270,23 @@ class TestInputContract:
         (["converge", "--seed", "-1", "--paths", "2", "--n-list", "4,16"], None, "--seed"),
         (["converge", "--seed", str(2**64), "--paths", "2", "--n-list", "4,16"], None, "--seed"),
         (["converge", "--paths", "2", "--n-list", "4,16"], "seed=-1\n", "--seed"),
-        # stability has no --mu: argparse reads it as an abbreviation of --mu-range
-        (["stability", "--grid", "3", "--mu", "5"], None, "got '5'"),
+        # stability has no --mu, and a flag prefix is no flag (not --mu-range)
+        (["stability", "--grid", "3", "--mu", "5"], None, "unrecognized arguments: --mu 5"),
         (["stability", "--grid", "3"], "mu=5\n", "for stability: mu"),
         (["stability", "--grid", "3"], "x0=7\n", "for stability: x0"),
         # a config file cannot name another one: the splice would recurse
         (["simulate"], "config=other.cfg\n", "for simulate: config"),
+        # a prefix of another flag of the subcommand is not that flag
+        (["converge", "--n", "64", "--paths", "2"], None, "unrecognized arguments: --n 64"),
+        (["simulate", "--path", "2"], None, "unrecognized arguments: --path 2"),
+        (["local-error", "--sample", "10"], None, "unrecognized arguments: --sample 10"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
             "config-choice", "config-format", "dt-list-single", "schemes-repeated",
             "seed-negative", "seed-2-64", "config-seed-negative", "stability-mu",
-            "config-stability-mu", "config-stability-x0", "config-key-config"])
+            "config-stability-mu", "config-stability-x0", "config-key-config",
+            "converge-n-prefix", "simulate-path-prefix", "local-error-sample-prefix"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:
@@ -345,3 +358,62 @@ class TestInputContract:
         monkeypatch.setattr(cli, "cmd_stability", out_of_memory)
         assert main(["stability", "--grid", "2"]) == 1
         assert capsys.readouterr().err == line + "\n"
+
+
+# Runs each argv in a process that may map only 512 MiB, so a run that gets past
+# its size check fails with MemoryError instead of exhausting the machine.
+OVERSIZE_SCRIPT = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+import qpisde.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = qpisde.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestWorkSize:
+    OVERSIZE = [
+        (["converge", "--n-list", "1e30", "--paths", "1"], "--n-list"),
+        (["converge", "--paths", str(10**13)], "--paths"),
+        (["stability", "--grid", str(10**9)], "--grid"),
+        (["simulate", "--n", str(10**11)], "--n"),
+        (["simulate", "--paths", str(10**11)], "--paths"),
+        (["local-error", "--samples", str(10**13)], "--samples"),
+    ]
+
+    def test_oversize_run_exits_2_before_allocating(self):
+        argvs = [argv for argv, _ in self.OVERSIZE]
+        done = subprocess.run([sys.executable, "-c", OVERSIZE_SCRIPT, json.dumps(argvs)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for (argv, flag), (code, err) in zip(self.OVERSIZE, json.loads(done.stdout)):
+            assert code == 2, (argv, err)
+            assert flag in err and "limit" in err and err.count("\n") == 1, (argv, err)
+
+    def test_budget_edge(self):
+        cli._check_size(cli.MAX_VALUES, "--grid")
+        with pytest.raises(InvalidInputError, match="--grid"):
+            cli._check_size(cli.MAX_VALUES + 1, "--grid")
+
+    @pytest.mark.parametrize("argv,values", [
+        (["simulate", "--paths", "3", "--n", "4"], 3 * 5),
+        (["stability", "--grid", "3"], 3 * 3),
+        (["local-error", "--samples", "10", "--dt-list", "0.5,0.25"], 2 * 10),
+        # the path block is counted as _BATCH_VALUES; 3 norms per path and table row
+        (["converge", "--paths", "2", "--n-list", "4,16"], _csvtext._BATCH_VALUES + 3 * 2 * 3 * 2),
+    ], ids=["simulate", "stability", "local-error", "converge"])
+    def test_each_command_counts_its_values(self, argv, values, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_VALUES", values)
+        assert main(argv) == 0
+        monkeypatch.setattr(cli, "MAX_VALUES", values - 1)
+        assert main(argv) == 2
+        assert "limit" in capsys.readouterr().err

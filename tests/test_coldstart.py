@@ -1,9 +1,11 @@
-"""Commands that draw no normal never import scipy.
+"""Commands that draw no normal never import scipy, and runs that write no
+CSV never build the CSV writer's digit tables.
 
 scipy.special costs ~0.3 s of a ~0.5 s cold start, and only the inverse
 normal CDF of the path draws needs it, so `brownian` imports it at the first
-draw. These checks run in a fresh interpreter, because the test session
-itself has scipy loaded.
+draw. The writer's tables are built at the first CSV value for the same
+reason. These checks run in a fresh interpreter, because the test session
+itself has scipy loaded and the tables built.
 """
 
 import ast
@@ -49,6 +51,33 @@ def test_scipy_loaded_only_at_the_first_draw():
     loaded = dict(line.split() for line in done.stdout.splitlines())
     assert loaded == {"import": "False", "stability": "False", "help": "False",
                       "exit-2": "False", "simulate": "True"}
+
+
+# Prints after each step whether the CSV writer's digit tables are built (the
+# size of their cache, 0 or 1); the CSV stability run shows that it can change.
+TABLES_SCRIPT = """
+import contextlib, io
+import qpisde.cli
+from qpisde import _csvtext
+
+def run(step, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qpisde.cli.main(argv) == 0
+    print(step, _csvtext._group_tables.cache_info().currsize)
+
+print("import", _csvtext._group_tables.cache_info().currsize)
+run("svg", ["stability", "--grid", "5", "--format", "svg"])
+run("csv", ["stability", "--grid", "5"])
+"""
+
+
+def test_writer_tables_built_at_the_first_csv():
+    done = subprocess.run([sys.executable, "-c", TABLES_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    built = dict(line.split() for line in done.stdout.splitlines())
+    assert built == {"import": "0", "svg": "0", "csv": "1"}
 
 
 def _scipy_imports(node, top_level):

@@ -110,3 +110,59 @@ def test_join_fixed_sample(cols, monkeypatch):
     assert rows % (1000 // cols) != 0
     text = _csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r]))
     assert text == csv_reference("h", table)
+
+
+# One value of each kind the kernel leaves to `%`: zeros, nan, infinities,
+# subnormals, magnitudes from 1e17 up and below 1e-6
+FALLBACK = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.5e-310, 1e17, -3.25e200, 2.5e-7]
+
+
+def with_exponent(x, size, rng):
+    """size values of decimal exponent x, of both signs, with 1 to 17 significant digits."""
+    scale = 10.0 ** rng.integers(0, 17, size)
+    m = np.floor(rng.uniform(1, 10, size) * scale) / scale
+    return m * 10.0**x * rng.choice([-1.0, 1.0], size)
+
+
+def majority_chunk(major, rng, size=500):
+    """size values, shuffled, most of exponent `major` (None: fallback values),
+    mixed with 3 values of every other exponent and each fallback value."""
+    parts = [with_exponent(x, 3, rng) for x in range(-6, 17) if x != major]
+    minor = sum(map(len, parts)) + (0 if major is None else len(FALLBACK))
+    if major is None:
+        parts.append(np.resize(FALLBACK, size - minor))
+    else:
+        parts += [FALLBACK, with_exponent(major, size - minor, rng)]
+    values = np.concatenate(parts)
+    rng.shuffle(values)
+    return values
+
+
+def majority_share(values, major):
+    """The share of values of exponent `major` (None: outside [-6, 16], or not finite)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.floor(np.log10(np.abs(values)))
+    return (~np.isin(x, np.arange(-6, 17)) if major is None else x == major).mean()
+
+
+@pytest.mark.parametrize("major", [*range(-6, 17), None])
+def test_fields_with_a_majority_exponent(major):
+    values = majority_chunk(major, np.random.default_rng(99 if major is None else major + 6))
+    assert majority_share(values, major) > 0.8
+    assert texts(_csvtext.fields(values)) == reference(values)
+
+
+def test_join_chunks_with_different_majorities(monkeypatch):
+    # 300 values per chunk, 100 rows of three; each chunk has its own majority
+    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 300)
+    rng = np.random.default_rng(7)
+    majors = [-5, 3, None, 16, -1]
+    table = np.concatenate([majority_chunk(m, rng, size=300) for m in majors]).reshape(-1, 3)
+    shares = []
+
+    def block(rows):
+        shares.append(majority_share(table[rows], majors[len(shares)]))
+        return _csvtext.fields(table[rows])
+
+    assert _csvtext.join("a,b,c", len(table), 3, block) == csv_reference("a,b,c", table)
+    assert len(shares) == len(majors) and min(shares) > 0.5
