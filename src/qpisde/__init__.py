@@ -13,7 +13,7 @@ from .stability import (RegionGrid, iem_amplification, milstein_amplification,
                         qpi_exact_amplification, qpi_paper_lhs, region_scan,
                         region_to_csv, region_to_svg)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ConvergenceTable", "ErrorReport", "GbmParams",

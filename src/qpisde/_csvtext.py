@@ -17,9 +17,9 @@ the significand (NUL if a trailing zero after the point), the sign or point
 (NUL if absent), or a constant byte ('0', '.', 'e', '-', '5', '6', padding).
 A chunk is laid out whole in the layout of its most common x, one table
 lookup, copy or fill per row; values of any other x get planes of their own.
-A field is _WIDTH bytes: the text, padding bytes anywhere around it (NUL, or
-spaces after a fallback text), and a last byte left for the separator.
-`join` deletes the padding; the text of a number never holds a space.
+A field is _WIDTH bytes: the text, padding bytes around it (NUL, or spaces after
+a fallback text; a number's text holds none) and a last byte for the separator.
+`join` deletes the padding and hands the text out in ASCII chunks, never one buffer.
 """
 
 from __future__ import annotations
@@ -139,18 +139,19 @@ def fields(values) -> np.ndarray:
     return out.reshape(np.shape(values) + (_WIDTH,))
 
 
-def join(header: str, n_rows: int, n_fields: int, block) -> str:
-    """The header line, then n_rows CSV rows of n_fields fields each.
+def join(header: str, n_rows: int, n_fields: int, block) -> list[bytes]:
+    """The header line, then n_rows CSV rows of n_fields fields each, as ASCII
+    bytes: the header line, then one item per chunk of rows.
 
     block(rows) gives the fields of a slice of rows, as `fields` makes them:
     uint8, shape (rows, n_fields, _WIDTH). It is called on consecutive slices
     of at most _BATCH_VALUES fields (at least one row), bounding the memory.
     """
     step = max(1, _BATCH_VALUES // n_fields)
-    text = bytearray((header + "\n").encode("ascii"))
+    chunks = [(header + "\n").encode("ascii")]
     for start in range(0, n_rows, step):
         chunk = block(slice(start, min(start + step, n_rows)))
         chunk[:, :-1, -1] = ord(",")
         chunk[:, -1, -1] = ord("\n")
-        text += chunk.tobytes().translate(None, b"\0 ")
-    return text.decode("ascii")
+        chunks.append(chunk.tobytes().translate(None, b"\0 "))
+    return chunks

@@ -161,7 +161,8 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
         z *= math.sqrt(dt)
         dWa, dWb = z[:n_paths], z[n_paths:]
         _, beta = _qpi_alpha_beta(mu, sigma, dt, dWa, dWb)
-        exact = np.exp((mu - 0.5 * sigma**2) * 2.0 * dt + sigma * (dWa + dWb))
+        # np.float64 ** gives inf on overflow where float ** raises
+        exact = np.exp((mu - 0.5 * np.float64(sigma)**2) * 2.0 * dt + sigma * (dWa + dWb))
         delta = x0 * (exact - beta)
         mean_sq[k] = float(np.mean(delta * delta))
     return LocalErrorReport(dt_list=dts, mean_sq=mean_sq)

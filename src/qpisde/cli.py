@@ -18,7 +18,9 @@ choice: 'bogus'`. `stability` takes --sigma but not --mu or --x0, and
 accepts --seed without using it.
 
 A command that would hold more than MAX_VALUES float64 values at once exits 2,
-naming its size flags, before it draws or allocates anything.
+naming its size flags, before it draws or allocates anything. Output is
+written only once all of it is built: per-chunk ASCII bytes to the -o file,
+opened in binary mode, or the same text to stdout for `-o -`.
 
 Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO/memory
 failure.
@@ -84,6 +86,11 @@ def _parse_range(text: str) -> tuple[float, float]:
     return _number(parts[0]), _number(parts[1])
 
 
+def _check_min(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise InvalidInputError(f"{flag} must be >= {low}, got {value}")
+
+
 def _check_size(values: int, flags: str) -> None:
     """Refuse a run that would hold more than MAX_VALUES float64 values at once."""
     if values > MAX_VALUES:
@@ -97,12 +104,13 @@ def _require_finite(values, what: str) -> None:
         raise InvalidInputError(f"{what} overflowed to inf or nan; no output written")
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, chunks: list[bytes]) -> None:
+    """Write the ASCII chunks to a file opened in binary mode, or to stdout as text for '-'."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
     else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _gbm_params(args) -> GbmParams:
@@ -113,8 +121,7 @@ def cmd_simulate(args) -> int:
     params = _gbm_params(args)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
     scheme = SchemeId.parse(args.scheme)
-    if n_paths < 1:
-        raise InvalidInputError(f"--paths must be >= 1, got {n_paths}")
+    _check_min(n_paths, 1, "--paths")
     _check_size(n_paths * (n + 1), "--paths and --n")
     w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
     approx = integrate(scheme, params, t_end, w, milstein_sign=args.milstein_sign)
@@ -126,15 +133,15 @@ def cmd_simulate(args) -> int:
         columns = approx
     _require_finite(columns, "simulated trajectory")
     t = np.linspace(0.0, t_end, n + 1)
-    text = _csvtext.join(header, n + 1, len(columns) + 1, lambda rows: _csvtext.fields(
-        np.column_stack((t[rows], columns[:, rows].T))))
-    _write_output(args.output, text)
+    _write_output(args.output, _csvtext.join(header, n + 1, len(columns) + 1, lambda rows:
+                  _csvtext.fields(np.column_stack((t[rows], columns[:, rows].T)))))
     return 0
 
 
 def cmd_converge(args) -> int:
     schemes = [SchemeId.parse(s) for s in args.schemes.split(",")]
     n_list = _parse_ints(args.n_list)
+    _check_min(args.paths, 1, "--paths")
     # a path block holds at most _BATCH_VALUES values or one path; each table
     # row keeps 3 norms per path
     _check_size(max(_csvtext._BATCH_VALUES, max(n_list) + 1)
@@ -143,25 +150,27 @@ def cmd_converge(args) -> int:
                                        args.paths, args.seed, t_end=args.t_end,
                                        milstein_sign=args.milstein_sign)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
-    _write_output(args.output, table.to_csv())
+    _write_output(args.output, [table.to_csv().encode("ascii")])
     return 0
 
 
 def cmd_stability(args) -> int:
-    _check_size(max(args.grid, 0) ** 2, "--grid")
+    _check_min(args.grid, 2, "--grid")
+    _check_size(args.grid ** 2, "--grid")
     mu_range, dt_range = _parse_range(args.mu_range), _parse_range(args.dt_range)
     grid = stability.region_scan(args.scheme, args.sigma, mu_range, dt_range, args.grid)
-    text = stability.region_to_csv(grid) if args.format == "csv" else stability.region_to_svg(grid)
-    _write_output(args.output, text)
+    _write_output(args.output, stability.region_to_csv(grid) if args.format == "csv"
+                  else [stability.region_to_svg(grid).encode("ascii")])
     return 0
 
 
 def cmd_local_error(args) -> int:
+    _check_min(args.samples, 1, "--samples")
     _check_size(2 * args.samples, "--samples")
     report = analysis.local_error_study(_gbm_params(args), _parse_floats(args.dt_list),
                                         args.samples, args.seed)
     _require_finite(report.mean_sq, "local error")
-    _write_output(args.output, report.to_csv())
+    _write_output(args.output, [report.to_csv().encode("ascii")])
     return 0
 
 

@@ -55,7 +55,8 @@ def exact_solution(params: GbmParams, t_end: float, w) -> np.ndarray:
     n = w.shape[-1] - 1 if w.ndim else 0
     _step_size(t_end, n)
     x = params.sigma * w
-    x += (params.mu - 0.5 * params.sigma**2) * np.linspace(0.0, t_end, n + 1)
+    # np.float64 ** gives inf on overflow where float ** raises
+    x += np.linspace(0.0, t_end, n + 1) * (params.mu - 0.5 * np.float64(params.sigma)**2)
     np.exp(x, out=x)
     x *= params.x0
     return x

@@ -114,7 +114,9 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
             raise InvalidInputError(
                 f"milstein_sign must be 'standard' or 'paper', got {milstein_sign!r}")
         sign = 1.0 if milstein_sign == "standard" else -1.0
-        return 1.0 + mu * dt + sigma * dW + sign * 0.5 * sigma**2 * (dW * dW - dt)
+        # np.float64 ** gives inf on overflow where float ** raises; the array
+        # goes first so that numpy reuses its temporary
+        return 1.0 + mu * dt + sigma * dW + (dW * dW - dt) * (sign * 0.5 * np.float64(sigma)**2)
     raise InvalidInputError(f"not a one-step scheme: {scheme}")
 
 

@@ -91,7 +91,8 @@ def milstein_amplification(mu: float, sigma: float, dt: float):
     to dW and its square is sign-insensitive.
     """
     h = _mu_dt(mu, dt)
-    return _value((1.0 + h)**2 + sigma * sigma * dt + 0.5 * sigma**4 * dt * dt)
+    # np.float64 ** gives inf on overflow where float ** raises
+    return _value((1.0 + h)**2 + sigma * sigma * dt + 0.5 * np.float64(sigma)**4 * dt * dt)
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
                       dt_axis=dt_axis, lhs=lhs, verdicts=lhs < 1.0)
 
 
-def region_to_csv(grid: RegionGrid) -> str:
-    """Serialize a region scan as `mu,dt,lhs,stable` rows (row-major over mu)."""
+def region_to_csv(grid: RegionGrid) -> list[bytes]:
+    """The `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, in ASCII chunks."""
     # each axis value is formatted once; a cell's row picks its mu and dt fields
     mu_txt, dt_txt = _csvtext.fields(grid.mu_axis), _csvtext.fields(grid.dt_axis)
     lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan).ravel()

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpisde import _csvtext, cli
 from qpisde.cli import main
@@ -280,13 +285,25 @@ class TestInputContract:
         (["converge", "--n", "64", "--paths", "2"], None, "unrecognized arguments: --n 64"),
         (["simulate", "--path", "2"], None, "unrecognized arguments: --path 2"),
         (["local-error", "--sample", "10"], None, "unrecognized arguments: --sample 10"),
+        # a size below its minimum names the flag, not the library parameter
+        (["converge", "--paths", "0", "--n-list", "4,16"], None, "--paths"),
+        (["local-error", "--samples", "0"], None, "--samples"),
+        (["stability", "--grid", "1"], None, "--grid"),
+        # sigma^2 and sigma^4 overflow to inf, which the finite checks report
+        (["converge", "--sigma", "1e308", "--paths", "2", "--n-list", "4,16"], None,
+         "overflowed to inf"),
+        (["local-error", "--sigma", "1e308", "--samples", "10"], None, "overflowed to inf"),
+        (["stability", "--sigma", "1e308", "--scheme", "milstein", "--grid", "3"], None,
+         "overflowed to inf"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
             "config-choice", "config-format", "dt-list-single", "schemes-repeated",
             "seed-negative", "seed-2-64", "config-seed-negative", "stability-mu",
             "config-stability-mu", "config-stability-x0", "config-key-config",
-            "converge-n-prefix", "simulate-path-prefix", "local-error-sample-prefix"])
+            "converge-n-prefix", "simulate-path-prefix", "local-error-sample-prefix",
+            "converge-paths-zero", "local-error-samples-zero", "stability-grid-one",
+            "converge-sigma-overflow", "local-error-sigma-overflow", "milstein-sigma-overflow"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:
@@ -417,3 +434,77 @@ class TestWorkSize:
         monkeypatch.setattr(cli, "MAX_VALUES", values - 1)
         assert main(argv) == 2
         assert "limit" in capsys.readouterr().err
+
+
+class TestOutputRoutes:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", "3", "--n", "8"],
+        ["stability", "--grid", "4"],
+        ["stability", "--grid", "4", "--format", "svg"],
+    ], ids=["simulate", "stability-csv", "stability-svg"])
+    def test_same_bytes_through_file_stdout_and_text_stream(self, argv, tmp_path, capsysbinary):
+        out = tmp_path / "out"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert main(argv) == 0
+        piped = capsysbinary.readouterr().out
+        stream = io.StringIO()  # a text stream with no byte buffer
+        with contextlib.redirect_stdout(stream):
+            assert main(argv) == 0
+        assert piped == stream.getvalue().encode("ascii") == out.read_bytes()
+        assert piped.startswith(b"t,path_1" if argv[0] == "simulate" else (b"mu,dt", b"<svg"))
+
+
+# An argv grammar for the input contract: each subcommand starts from a small
+# run, then draws flags whose values are valid, malformed or extreme. A size
+# flag is either small or far above MAX_VALUES, so no run holds more than a few
+# thousand values; the oversize runs are refused before they allocate.
+SPECIAL = ["0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", str(2**63), str(2**64), "", "-"]
+BASE = {"simulate": ["--n", "8"], "converge": ["--n-list", "2,4", "--paths", "3"],
+        "stability": ["--grid", "4"], "local-error": ["--dt-list", "0.5,0.25", "--samples", "20"]}
+FLAGS = {"simulate": ["--mu", "--x0", "--t-end", "--milstein-sign", "--n", "--scheme", "--paths"],
+         "converge": ["--mu", "--x0", "--t-end", "--milstein-sign", "--n-list", "--schemes", "--paths"],
+         "stability": ["--scheme", "--mu-range", "--dt-range", "--grid", "--format"],
+         "local-error": ["--mu", "--x0", "--dt-list", "--samples"]}
+VALUES = {
+    "--seed": ["0", "85"], "--sigma": ["0", "0.5", "2"], "--mu": ["-1", "0", "3"],
+    "--x0": ["1", "-2"], "--t-end": ["1", "0.25"], "--milstein-sign": ["standard", "paper", "x"],
+    "--n": ["1", "2", "8"], "--paths": ["1", "3"], "--grid": ["2", "5"], "--samples": ["1", "20"],
+    "--scheme": ["qpi", "em", "iem", "milstein", "qpi-paper", "qpi-exact", "x"],
+    "--format": ["csv", "svg", "pdf"],
+    "--n-list": ["2,4", "4,16", "1", "4,2", "0,4", "4,,8", "4.5,9", ",", "-4,8"],
+    "--schemes": ["qpi,iem", "milstein", "qpi,qpi", "qpi,,em", "x"],
+    "--mu-range": ["-4:1", "1:-4", "0:0", ":", "1:", "1:2:3", "a:b", "-inf:1", "nan:1",
+                   "-1e308:1e308"],
+    "--dt-range": ["0.01:1", "0:1", "1e-300:1e300", "inf:1", "1:nan", "-1:1"],
+    "--dt-list": ["0.5,0.25", "0.25,0.5", "0.5", "0.5,,0.25", "nan,0.1", "1e308,1", "0.5,-0.25"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, up to three flags with values from their own list, then
+    one flag with a value from SPECIAL."""
+    sub = draw(st.sampled_from(sorted(BASE)))
+    flags = st.sampled_from(["--seed", "--sigma", *FLAGS[sub]])
+    pairs = [(f, draw(st.sampled_from(VALUES[f]))) for f in draw(st.lists(flags, max_size=3))]
+    pairs.append((draw(flags), draw(st.sampled_from(SPECIAL))))
+    argv = [sub, *BASE[sub]]
+    for flag, value in pairs:
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+@example(argv=["simulate", "--n", "8", "--sigma", "1e308"])
+def test_any_argv_keeps_the_input_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert err.count("\n") == 1, (argv, err)
+    if code == 0 and argv[0] != "stability":
+        fields = set(re.split(r"[,\n=]", out.getvalue()))
+        assert not fields & {"inf", "-inf", "nan"}, argv

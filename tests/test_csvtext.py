@@ -82,6 +82,11 @@ def csv_reference(header, table):
     return header + "\n" + "".join(",".join(reference(row)) + "\n" for row in table)
 
 
+def text(chunks):
+    """The text of `join`'s chunks: their ASCII bytes in order."""
+    return b"".join(chunks).decode("ascii")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([1, 3]).flatmap(
     lambda cols: arrays(float, st.tuples(st.integers(1, 23), st.just(cols)), elements=st.floats())))
@@ -97,8 +102,8 @@ def test_join_equals_percent_format(table):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_csvtext, "_BATCH_VALUES", 7)
-        text = _csvtext.join("a,b", rows, cols, block)
-    assert text == csv_reference("a,b", table)
+        out = _csvtext.join("a,b", rows, cols, block)
+    assert text(out) == csv_reference("a,b", table)
     assert chunks == [min(step, rows - start) for start in range(0, rows, step)]
 
 
@@ -108,8 +113,8 @@ def test_join_fixed_sample(cols, monkeypatch):
     table = sample()[:199_999 // cols * cols].reshape(-1, cols)
     rows = table.shape[0]
     assert rows % (1000 // cols) != 0
-    text = _csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r]))
-    assert text == csv_reference("h", table)
+    chunks = _csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r]))
+    assert text(chunks) == csv_reference("h", table)
 
 
 # One value of each kind the kernel leaves to `%`: zeros, nan, infinities,
@@ -164,5 +169,21 @@ def test_join_chunks_with_different_majorities(monkeypatch):
         shares.append(majority_share(table[rows], majors[len(shares)]))
         return _csvtext.fields(table[rows])
 
-    assert _csvtext.join("a,b,c", len(table), 3, block) == csv_reference("a,b,c", table)
+    assert text(_csvtext.join("a,b,c", len(table), 3, block)) == csv_reference("a,b,c", table)
     assert len(shares) == len(majors) and min(shares) > 0.5
+
+
+@pytest.mark.parametrize("cols", [1, 3, 7, 1000, 1001])
+def test_join_hands_out_one_item_per_chunk(cols, monkeypatch):
+    # the header line, then each chunk's rows on their own: no item holds the whole text
+    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 1000)
+    table = sample()[:5000 // cols * cols].reshape(-1, cols)
+    rows = table.shape[0]
+    chunks = _csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r]))
+    step = 1000 // cols or 1
+    assert chunks[0] == b"h\n" and len(chunks) == 1 + -(-rows // step)
+    for start, chunk in zip(range(0, rows, step), chunks[1:]):
+        assert type(chunk) is bytes and chunk.endswith(b"\n")
+        assert chunk.count(b"\n") == min(step, rows - start)
+        assert len(chunk) <= max(1000, cols) * _csvtext._WIDTH
+    assert text(chunks) == csv_reference("h", table)

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the sha256 of the stdout bytes of fixed runs.
+"""Golden CLI outputs: the sha256 of the stdout or output file bytes of fixed runs.
 
 The digests pin the exact output bytes, so a refactor that changes any
 formatted digit, row order or default value fails here. They change only
@@ -87,3 +87,26 @@ def stdout_digest(argv, config, tmp_path, capsys):
                          ids=[g[0] for g in GOLDEN])
 def test_golden_stdout(argv, config, digest, tmp_path, capsys):
     assert stdout_digest(argv, config, tmp_path, capsys) == digest
+
+
+# The benchmark's workloads at seed 85, written through `-o FILE`: the binary
+# file path, pinned to the digests the benchmark checks its outputs against
+STABILITY_300 = ["stability", "--mu-range", "-4:1", "--dt-range", "0.01:1", "--grid", "300"]
+FILE_GOLDEN = [
+    ("ensemble", ["simulate", "--scheme", "qpi", "--n", "1024", "--paths", "500"],
+     "38868f099d21fab5f0a2e8b7ca33aa4e1664e235f1ce6fa97d1263f2a772ff10"),
+    ("converge", ["converge", "--n-list", "4,16,64,256,1024", "--schemes", "qpi,iem,milstein",
+                  "--paths", "1000"],
+     "02df2fdfbdff36fa37df34a6f25ec4f9c5778198b78b9a85676ba63483e9f947"),
+    ("stability-csv", STABILITY_300 + ["--scheme", "qpi-paper", "--format", "csv"],
+     "7caab6a75d5c69026a16a7db3e9d9e4c0f4f7c992454fb872e0a9a9f60e60e1a"),
+    ("stability-svg", STABILITY_300 + ["--scheme", "qpi-exact", "--format", "svg"],
+     "8e4545ad82fa8e67b9c91cbc2f3ce217202296fcfbdeae62daabcf9523f39aba"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [g[1:] for g in FILE_GOLDEN], ids=[g[0] for g in FILE_GOLDEN])
+def test_golden_file(argv, digest, tmp_path):
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "85", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

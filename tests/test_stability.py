@@ -235,7 +235,7 @@ class TestEvaluateAndScan:
 
     def test_csv_output(self):
         grid = region_scan("qpi-paper", 0.5, (-2.0, 0.0), (0.1, 0.5), 4)
-        text = region_to_csv(grid)
+        text = b"".join(region_to_csv(grid)).decode("ascii")
         lines = text.strip().split("\n")
         assert lines[0] == "mu,dt,lhs,stable"
         assert len(lines) == 17
@@ -312,7 +312,7 @@ class TestWritersMatchPerCellReference:
     @given(grid=region_grids())
     @example(grid=FIXED_GRID)
     def test_csv(self, grid):
-        assert region_to_csv(grid) == csv_reference(grid)
+        assert b"".join(region_to_csv(grid)).decode("ascii") == csv_reference(grid)
 
     @settings(max_examples=200, deadline=None)
     @given(grid=region_grids())
