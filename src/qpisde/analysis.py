@@ -62,12 +62,10 @@ class ConvergenceTable:
 
     rows: list[ErrorReport] = field(default_factory=list)
 
-    def to_csv(self) -> str:
-        lines = ["scheme,n,l1,l2,linf,n_paths"]
-        for r in self.rows:
-            lines.append(f"{r.scheme.value},{r.n_steps},{r.l1:.17g},{r.l2:.17g},"
-                         f"{r.linf:.17g},{r.n_paths}")
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> list[bytes]:
+        lines = [f"{r.scheme.value},{r.n_steps},{r.l1:.17g},{r.l2:.17g},{r.linf:.17g},{r.n_paths}"
+                 for r in self.rows]
+        return ["\n".join(["scheme,n,l1,l2,linf,n_paths", *lines, ""]).encode("ascii")]
 
 
 def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
@@ -130,12 +128,10 @@ class LocalErrorReport:
         s, _ = np.polyfit(np.log(self.dt_list), np.log(self.mean_sq), 1)
         return float(s)
 
-    def to_csv(self) -> str:
-        lines = ["dt,mean_sq_local_error"]
-        for dt, m in zip(self.dt_list, self.mean_sq):
-            lines.append(f"{dt:.17g},{m:.17g}")
-        lines.append(f"# slope={self.slope():.17g}")
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> list[bytes]:
+        lines = [f"{dt:.17g},{m:.17g}" for dt, m in zip(self.dt_list, self.mean_sq)]
+        text = "\n".join(["dt,mean_sq_local_error", *lines, f"# slope={self.slope():.17g}", ""])
+        return [text.encode("ascii")]
 
 
 def local_error_study(params: GbmParams, dt_list, n_paths: int,

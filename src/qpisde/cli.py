@@ -14,13 +14,14 @@ names. A key the subcommand does not have is an error naming the file and
 the key; every other line is spliced into argv as `--key=value` right after
 the subcommand word, so argparse checks it as the flag and reports a bad
 value in one line naming the flag, e.g. `argument --milstein-sign: invalid
-choice: 'bogus'`. `stability` takes --sigma but not --mu or --x0, and
-accepts --seed without using it.
+choice: 'bogus'`. Each flag's argparse type checks its value, so a bad list
+item (an empty one too), range, count or seed fails the same way. `stability`
+takes --sigma but not --mu or --x0, and accepts --seed without using it.
 
 A command that would hold more than MAX_VALUES float64 values at once exits 2,
-naming its size flags, before it draws or allocates anything. Output is
-written only once all of it is built: per-chunk ASCII bytes to the -o file,
-opened in binary mode, or the same text to stdout for `-o -`.
+naming its size flags, before it draws or allocates anything. Every writer
+returns ASCII chunks, written only once all are built: as bytes to the -o
+file, opened in binary mode, or decoded to stdout for `-o -`.
 
 Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO/memory
 failure.
@@ -57,38 +58,45 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# argparse types: argparse prints an ArgumentTypeError's text after `argument
+# --flag:`, but replaces the text of any other ValueError with its own
 def _number(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise InvalidInputError(f"expected a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    items = [s for s in text.replace(" ", "").split(",") if s]
-    if not items:
-        raise InvalidInputError("expected a comma-separated list of numbers")
-    return [_number(s) for s in items]
+def _floats(text: str) -> list[float]:
+    return [_number(s) for s in text.split(",")]
 
 
-def _parse_ints(text: str) -> list[int]:
-    values = _parse_floats(text)
+def _ints(text: str) -> list[int]:
+    values = _floats(text)
     for v in values:
         if not v.is_integer():
-            raise InvalidInputError(f"expected a list of integers, got {v:g}")
+            raise argparse.ArgumentTypeError(f"expected a list of integers, got {v:g}")
     return [int(v) for v in values]
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise InvalidInputError(f"expected a range low:high, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a range low:high, got {text!r}")
     return _number(parts[0]), _number(parts[1])
 
 
-def _check_min(value: int, low: int, flag: str) -> None:
-    if value < low:
-        raise InvalidInputError(f"{flag} must be >= {low}, got {value}")
+def _int_in(low: int, high: float = np.inf, bounds: str = ""):
+    """An int in [low, high), which `bounds` says (default `>= low`)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be {bounds or f'>= {low}'}, got {value}")
+        return value
+    return parse
 
 
 def _check_size(values: int, flags: str) -> None:
@@ -121,7 +129,6 @@ def cmd_simulate(args) -> int:
     params = _gbm_params(args)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
     scheme = SchemeId.parse(args.scheme)
-    _check_min(n_paths, 1, "--paths")
     _check_size(n_paths * (n + 1), "--paths and --n")
     w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
     approx = integrate(scheme, params, t_end, w, milstein_sign=args.milstein_sign)
@@ -140,37 +147,31 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     schemes = [SchemeId.parse(s) for s in args.schemes.split(",")]
-    n_list = _parse_ints(args.n_list)
-    _check_min(args.paths, 1, "--paths")
     # a path block holds at most _BATCH_VALUES values or one path; each table
     # row keeps 3 norms per path
-    _check_size(max(_csvtext._BATCH_VALUES, max(n_list) + 1)
-                + 3 * args.paths * len(schemes) * len(n_list), "--n-list, --paths and --schemes")
-    table = analysis.convergence_study(schemes, _gbm_params(args), n_list,
+    _check_size(max(_csvtext._BATCH_VALUES, max(args.n_list) + 1)
+                + 3 * args.paths * len(schemes) * len(args.n_list), "--n-list, --paths and --schemes")
+    table = analysis.convergence_study(schemes, _gbm_params(args), args.n_list,
                                        args.paths, args.seed, t_end=args.t_end,
                                        milstein_sign=args.milstein_sign)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
-    _write_output(args.output, [table.to_csv().encode("ascii")])
+    _write_output(args.output, table.to_csv())
     return 0
 
 
 def cmd_stability(args) -> int:
-    _check_min(args.grid, 2, "--grid")
     _check_size(args.grid ** 2, "--grid")
-    mu_range, dt_range = _parse_range(args.mu_range), _parse_range(args.dt_range)
-    grid = stability.region_scan(args.scheme, args.sigma, mu_range, dt_range, args.grid)
-    _write_output(args.output, stability.region_to_csv(grid) if args.format == "csv"
-                  else [stability.region_to_svg(grid).encode("ascii")])
+    grid = stability.region_scan(args.scheme, args.sigma, args.mu_range, args.dt_range, args.grid)
+    write = stability.region_to_csv if args.format == "csv" else stability.region_to_svg
+    _write_output(args.output, write(grid))
     return 0
 
 
 def cmd_local_error(args) -> int:
-    _check_min(args.samples, 1, "--samples")
     _check_size(2 * args.samples, "--samples")
-    report = analysis.local_error_study(_gbm_params(args), _parse_floats(args.dt_list),
-                                        args.samples, args.seed)
+    report = analysis.local_error_study(_gbm_params(args), args.dt_list, args.samples, args.seed)
     _require_finite(report.mean_sq, "local error")
-    _write_output(args.output, [report.to_csv().encode("ascii")])
+    _write_output(args.output, report.to_csv())
     return 0
 
 
@@ -201,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = cmd[name] = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
-        p.add_argument("--seed", type=int, default=85, help="master seed (default %(default)s)")
+        p.add_argument("--seed", type=_int_in(0, 1 << 64, "in [0, 2^64)"), default=85,
+                       help="master seed (default %(default)s)")
         p.add_argument("--output", "-o", default="-", help="output file ('-' for stdout, the default)")
         p.add_argument("--sigma", type=float, default=0.5, help="volatility (default %(default)s)")
     for name in ("simulate", "converge", "local-error"):
@@ -213,30 +215,33 @@ def build_parser() -> argparse.ArgumentParser:
                                help="Milstein correction sign (default %(default)s)")
 
     p = cmd["simulate"]
-    p.add_argument("--n", type=int, default=256, help="number of steps (default %(default)s)")
+    p.add_argument("--n", type=_int_in(1), default=256, help="number of steps (default %(default)s)")
     p.add_argument("--scheme", default="qpi", help="qpi|em|iem|milstein (default %(default)s)")
-    p.add_argument("--paths", type=int, default=1, help="number of paths (default %(default)s)")
+    p.add_argument("--paths", type=_int_in(1), default=1, help="number of paths (default %(default)s)")
 
     p = cmd["converge"]
-    p.add_argument("--n-list", default="4,16,64,256,1024",
+    p.add_argument("--n-list", type=_ints, default="4,16,64,256,1024",
                    help="comma list of step counts (default %(default)s)")
     p.add_argument("--schemes", default="qpi,iem,milstein",
                    help="comma list of schemes (default %(default)s)")
-    p.add_argument("--paths", type=int, default=500, help="Monte Carlo paths (default %(default)s)")
+    p.add_argument("--paths", type=_int_in(1), default=500,
+                   help="Monte Carlo paths (default %(default)s)")
 
     p = cmd["stability"]
     p.add_argument("--scheme", default="qpi-paper",
                    help="qpi-paper|qpi-exact|iem|milstein (default %(default)s)")
-    p.add_argument("--mu-range", default="-4:1", help="low:high (default %(default)s)")
-    p.add_argument("--dt-range", default="0.01:1", help="low:high (default %(default)s)")
-    p.add_argument("--grid", type=int, default=100, help="samples per axis (default %(default)s)")
+    p.add_argument("--mu-range", type=_range, default="-4:1", help="low:high (default %(default)s)")
+    p.add_argument("--dt-range", type=_range, default="0.01:1", help="low:high (default %(default)s)")
+    p.add_argument("--grid", type=_int_in(2), default=100, help="samples per axis (default %(default)s)")
     p.add_argument("--format", choices=("csv", "svg"), default="csv",
                    help="output format (default %(default)s)")
 
     p = cmd["local-error"]
-    p.add_argument("--dt-list", default="0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625",
+    p.add_argument("--dt-list", type=_floats,
+                   default="0.125,0.0625,0.03125,0.015625,0.0078125,0.00390625",
                    help="comma list of dt values, descending (default %(default)s)")
-    p.add_argument("--samples", type=int, default=100000, help="samples per dt (default %(default)s)")
+    p.add_argument("--samples", type=_int_in(1), default=100000,
+                   help="samples per dt (default %(default)s)")
     return parser
 
 
@@ -287,8 +292,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = parser.parse_args(_config_argv(args, argv))
-        if not 0 <= args.seed < 1 << 64:
-            raise InvalidInputError(f"--seed must be in [0, 2^64), got {args.seed}")
         # overflow is reported once, by the commands' finite-output checks
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)

@@ -176,8 +176,8 @@ def region_to_csv(grid: RegionGrid) -> list[bytes]:
     return _csvtext.join("mu,dt,lhs,stable", lhs.size, 4, block)
 
 
-def region_to_svg(grid: RegionGrid) -> str:
-    """Render the stable cells of a region scan as a standalone SVG document."""
+def region_to_svg(grid: RegionGrid) -> list[bytes]:
+    """Render the stable cells of a region scan as a standalone SVG document, in one ASCII chunk."""
     ml, mr, mt, mb = 60, 20, 40, 50  # margins
     pw, ph = _SVG_WIDTH - ml - mr, _SVG_HEIGHT - mt - mb
     mu, dt = grid.mu_axis, grid.dt_axis
@@ -217,5 +217,5 @@ def region_to_svg(grid: RegionGrid) -> str:
     parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" font-size="14">mu</text>')
     parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" font-size="14" '
                  f'transform="rotate(-90 18 {mt + ph / 2:.1f})">dt</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return ["\n".join(parts).encode("ascii")]

@@ -55,7 +55,7 @@ class TestConvergenceStudy:
         p = GbmParams(mu=-1.0, sigma=0.5)
         table = convergence_study(["qpi", "iem", "milstein"], p, [4, 16], 3, 9)
         assert len(table.rows) == 6
-        lines = table.to_csv().strip().split("\n")
+        lines = b"".join(table.to_csv()).decode("ascii").strip().split("\n")
         assert lines[0] == "scheme,n,l1,l2,linf,n_paths"
         assert len(lines) == 7
 
@@ -103,7 +103,7 @@ class TestLocalErrorStudy:
 
     def test_csv_with_slope_comment(self):
         rep = local_error_study(self.P, [0.25, 0.125], 500, 1)
-        lines = rep.to_csv().strip().split("\n")
+        lines = b"".join(rep.to_csv()).decode("ascii").strip().split("\n")
         assert lines[0] == "dt,mean_sq_local_error"
         assert len(lines) == 4
         assert lines[-1].startswith("# slope=")

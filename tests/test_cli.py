@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpisde import _csvtext, cli
+from qpisde import _csvtext, analysis, cli, stability
 from qpisde.cli import main
 from qpisde.errors import InvalidInputError
+from qpisde.model import GbmParams
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -163,8 +164,7 @@ class TestLocalError:
         assert lines[-1].startswith("# slope=")
 
     def test_empty_dt_list(self, capsys):
-        rc = run(["local-error", "--dt-list", ""])
-        assert rc == 2
+        assert exit_code(["local-error", "--dt-list", ""]) == 2
 
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -253,10 +253,15 @@ def exit_code(argv):
 
 class TestInputContract:
     @pytest.mark.parametrize("argv,config,named", [
-        (["converge", "--n-list", "4,16,abc", "--paths", "2"], None, "abc"),
-        (["converge", "--n-list", "4.6,16", "--paths", "2"], None, "4.6"),
+        (["converge", "--n-list", "4,16,abc", "--paths", "2"], None, "--n-list"),
+        (["converge", "--n-list", "4.6,16", "--paths", "2"], None, "--n-list"),
         (["converge", "--n-list", "0,4", "--paths", "2"], None, "n_list"),
-        (["stability", "--mu-range", "a:b", "--grid", "3"], None, "'a'"),
+        (["stability", "--mu-range", "a:b", "--grid", "3"], None, "--mu-range"),
+        (["stability", "--dt-range", "1:2:3", "--grid", "3"], None, "--dt-range"),
+        # an empty list item is an error, not a missing item
+        (["converge", "--n-list", "4,,16", "--paths", "2"], None, "--n-list"),
+        (["converge", "--n-list", "4,16,", "--paths", "2"], None, "--n-list"),
+        (["local-error", "--dt-list", "0.5,,0.25"], None, "--dt-list"),
         (["simulate", "--n", "4"], "mu=abc\n", "abc"),
         (["simulate"], "nn=4\n", "nn"),
         (["stability", "--sigma", "nan", "--grid", "2"], None, "sigma"),
@@ -289,13 +294,15 @@ class TestInputContract:
         (["converge", "--paths", "0", "--n-list", "4,16"], None, "--paths"),
         (["local-error", "--samples", "0"], None, "--samples"),
         (["stability", "--grid", "1"], None, "--grid"),
+        (["simulate", "--n", "0"], None, "--n"),
         # sigma^2 and sigma^4 overflow to inf, which the finite checks report
         (["converge", "--sigma", "1e308", "--paths", "2", "--n-list", "4,16"], None,
          "overflowed to inf"),
         (["local-error", "--sigma", "1e308", "--samples", "10"], None, "overflowed to inf"),
         (["stability", "--sigma", "1e308", "--scheme", "milstein", "--grid", "3"], None,
          "overflowed to inf"),
-    ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "config-word",
+    ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "range-three-parts",
+            "n-list-empty-item", "n-list-trailing-comma", "dt-list-empty-item", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
             "config-choice", "config-format", "dt-list-single", "schemes-repeated",
@@ -303,7 +310,7 @@ class TestInputContract:
             "config-stability-mu", "config-stability-x0", "config-key-config",
             "converge-n-prefix", "simulate-path-prefix", "local-error-sample-prefix",
             "converge-paths-zero", "local-error-samples-zero", "stability-grid-one",
-            "converge-sigma-overflow", "local-error-sigma-overflow", "milstein-sigma-overflow"])
+            "simulate-n-zero", "converge-sigma-overflow", "local-error-sigma-overflow", "milstein-sigma-overflow"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:
@@ -437,12 +444,15 @@ class TestWorkSize:
 
 
 class TestOutputRoutes:
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--paths", "3", "--n", "8"],
-        ["stability", "--grid", "4"],
-        ["stability", "--grid", "4", "--format", "svg"],
-    ], ids=["simulate", "stability-csv", "stability-svg"])
-    def test_same_bytes_through_file_stdout_and_text_stream(self, argv, tmp_path, capsysbinary):
+    @pytest.mark.parametrize("argv,head", [
+        (["simulate", "--paths", "3", "--n", "8"], b"t,path_1"),
+        (["converge", "--paths", "3", "--n-list", "2,4"], b"scheme,n,"),
+        (["stability", "--grid", "4"], b"mu,dt"),
+        (["stability", "--grid", "4", "--format", "svg"], b"<svg"),
+        (["local-error", "--samples", "10", "--dt-list", "0.5,0.25"], b"dt,mean_sq"),
+    ], ids=["simulate", "converge", "stability-csv", "stability-svg", "local-error"])
+    def test_same_bytes_through_file_stdout_and_text_stream(self, argv, head, tmp_path,
+                                                           capsysbinary):
         out = tmp_path / "out"
         assert main(argv + ["-o", str(out)]) == 0
         assert main(argv) == 0
@@ -451,7 +461,20 @@ class TestOutputRoutes:
         with contextlib.redirect_stdout(stream):
             assert main(argv) == 0
         assert piped == stream.getvalue().encode("ascii") == out.read_bytes()
-        assert piped.startswith(b"t,path_1" if argv[0] == "simulate" else (b"mu,dt", b"<svg"))
+        assert piped.startswith(head)
+
+    @pytest.mark.parametrize("write", [
+        lambda: analysis.convergence_study(["qpi"], GbmParams(-1.0, 0.5), [2, 4], 3, 1).to_csv(),
+        lambda: analysis.local_error_study(GbmParams(-1.0, 0.5), [0.5, 0.25], 10, 1).to_csv(),
+        lambda: stability.region_to_csv(stability.region_scan("iem", 0.5, (-1, 0), (0.1, 1), 3)),
+        lambda: stability.region_to_svg(stability.region_scan("iem", 0.5, (-1, 0), (0.1, 1), 3)),
+    ], ids=["convergence-table", "local-error-report", "region-csv", "region-svg"])
+    def test_every_writer_returns_ascii_chunks(self, write):
+        # the one contract _write_output takes: a nonempty list of ASCII bytes, ending a line
+        chunks = write()
+        assert type(chunks) is list and chunks
+        assert all(type(chunk) is bytes and chunk.isascii() for chunk in chunks)
+        assert b"".join(chunks).endswith(b"\n")
 
 
 # An argv grammar for the input contract: each subcommand starts from a small

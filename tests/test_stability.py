@@ -245,7 +245,7 @@ class TestEvaluateAndScan:
 
     def test_svg_output(self):
         grid = region_scan("qpi-paper", 0.5, (-2.0, 0.0), (0.1, 0.5), 8)
-        text = region_to_svg(grid)
+        text = b"".join(region_to_svg(grid)).decode("ascii")
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
         assert "qpi-paper" in text and "sigma=0.5" in text
@@ -320,7 +320,7 @@ class TestWritersMatchPerCellReference:
     def test_svg_cells(self, grid):
         cells = svg_cells_reference(grid)
         # four header lines, the stable cells, then the axes
-        lines = region_to_svg(grid).split("\n")
+        lines = b"".join(region_to_svg(grid)).decode("ascii").split("\n")
         assert lines[4:4 + len(cells)] == cells
         assert lines[4 + len(cells)].startswith("<line")
 
