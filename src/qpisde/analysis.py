@@ -78,7 +78,7 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     scheme, and measure the norms against the pathwise exact solution on the
     same Wiener values. Rows hold the mean of each norm over the paths.
     """
-    schemes = [SchemeId.parse(s) if isinstance(s, str) else s for s in schemes]
+    schemes = [SchemeId.parse(s) for s in schemes]
     if len(set(schemes)) != len(schemes):
         raise InvalidInputError(f"schemes must not repeat, got {', '.join(s.value for s in schemes)}")
     n_list = list(n_list)

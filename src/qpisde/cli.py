@@ -23,8 +23,8 @@ naming its size flags, before it draws or allocates anything. Every writer
 returns ASCII chunks, written only once all are built: as bytes to the -o
 file, opened in binary mode, or decoded to stdout for `-o -`.
 
-Exit codes: 0 success, 2 argument/validation failure, 1 runtime/IO/memory
-failure.
+Every failure is one stderr line, `qpisde <sub>: error: <message>`, and `main`
+exits as argparse does: 2 for bad input, 1 for IO or memory; success returns 0.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def _gbm_params(args) -> GbmParams:
     return GbmParams(mu=args.mu, sigma=args.sigma, x0=args.x0)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     params = _gbm_params(args)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
-    scheme = SchemeId.parse(args.scheme)
+    scheme = SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
     _check_size(n_paths * (n + 1), "--paths and --n")
     w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
     approx = integrate(scheme, params, t_end, w, milstein_sign=args.milstein_sign)
@@ -142,11 +142,10 @@ def cmd_simulate(args) -> int:
     t = np.linspace(0.0, t_end, n + 1)
     _write_output(args.output, _csvtext.join(header, n + 1, len(columns) + 1, lambda rows:
                   _csvtext.fields(np.column_stack((t[rows], columns[:, rows].T)))))
-    return 0
 
 
-def cmd_converge(args) -> int:
-    schemes = [SchemeId.parse(s) for s in args.schemes.split(",")]
+def cmd_converge(args) -> None:
+    schemes = args.schemes.split(",")  # convergence_study parses the names
     # a path block holds at most _BATCH_VALUES values or one path; each table
     # row keeps 3 norms per path
     _check_size(max(_csvtext._BATCH_VALUES, max(args.n_list) + 1)
@@ -156,35 +155,37 @@ def cmd_converge(args) -> int:
                                        milstein_sign=args.milstein_sign)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
     _write_output(args.output, table.to_csv())
-    return 0
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> None:
     _check_size(args.grid ** 2, "--grid")
     grid = stability.region_scan(args.scheme, args.sigma, args.mu_range, args.dt_range, args.grid)
     write = stability.region_to_csv if args.format == "csv" else stability.region_to_svg
     _write_output(args.output, write(grid))
-    return 0
 
 
-def cmd_local_error(args) -> int:
+def cmd_local_error(args) -> None:
     _check_size(2 * args.samples, "--samples")
     report = analysis.local_error_study(_gbm_params(args), args.dt_list, args.samples, args.seed)
     _require_finite(report.mean_sq, "local error")
     _write_output(args.output, report.to_csv())
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, `qpisde <sub>: error: ...`, and exits 2.
-    A flag is only its full name: `--path` is not `--paths`."""
+    """Reports every failure as one stderr line, `qpisde <sub>: error: ...`, and
+    exits with its status. A flag is only its full name: `--path` is not `--paths`."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
-    def error(self, message):
-        message = " ".join(message.splitlines())  # an argv word may hold a newline
-        self.exit(2, f"{self.prog}: error: {message}\n")
+    def error(self, message, status=2):  # an argv word or a path may hold a newline
+        self.exit(status, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+    def parse_args(self, argv=None, namespace=None):
+        args, unknown = self.parse_known_args(argv, namespace)
+        if unknown:  # reported by the subcommand they follow
+            args.fail(f"unrecognized arguments: {' '.join(unknown)}")
+        return args
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("stability", cmd_stability, "stability-region scan as CSV or SVG"),
             ("local-error", cmd_local_error, "one-block mean-square error vs dt as CSV")):
         p = cmd[name] = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, fail=p.error)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
         p.add_argument("--seed", type=_int_in(0, 1 << 64, "in [0, 2^64)"), default=85,
                        help="master seed (default %(default)s)")
@@ -277,7 +278,7 @@ def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
     the command line comes later, so it wins. A key is a flag's dest, which
     argparse derives from the flag name, hence `_` back to `-`."""
     config = _load_config(args.config)
-    unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "func", "fail", "config"}))
     if unknown:
         raise InvalidInputError(
             f"{args.config}: unknown key(s) for {args.command}: {', '.join(unknown)}")
@@ -294,13 +295,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(_config_argv(args, argv))
         # overflow is reported once, by the commands' finite-output checks
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            args.func(args)
     except QpisdeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        args.fail(str(exc))
     except (OSError, MemoryError) as exc:
-        print(str(exc) or type(exc).__name__, file=sys.stderr)
-        return 1
+        args.fail(str(exc) or type(exc).__name__, 1)
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ class SchemeId(enum.Enum):
     MILSTEIN = "milstein"
 
     @classmethod
-    def parse(cls, name: str) -> "SchemeId":
+    def parse(cls, name) -> "SchemeId":
         try:
-            return cls(name.strip().lower())
+            return name if isinstance(name, cls) else cls(str(name).strip().lower())
         except ValueError:
             valid = ", ".join(s.value for s in cls)
             raise InvalidInputError(f"unknown scheme {name!r}; expected one of {valid}")
@@ -109,26 +109,25 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
         if _iem_singular(mu * dt):
             raise SingularStepError(f"implicit EM step singular: mu*dt = 1 (mu={mu}, dt={dt})")
         return (1.0 + sigma * dW) / (1.0 - mu * dt)
-    if scheme is SchemeId.MILSTEIN:
-        if milstein_sign not in ("standard", "paper"):
-            raise InvalidInputError(
-                f"milstein_sign must be 'standard' or 'paper', got {milstein_sign!r}")
-        sign = 1.0 if milstein_sign == "standard" else -1.0
-        # np.float64 ** gives inf on overflow where float ** raises; the array
-        # goes first so that numpy reuses its temporary
-        return 1.0 + mu * dt + sigma * dW + (dW * dW - dt) * (sign * 0.5 * np.float64(sigma)**2)
-    raise InvalidInputError(f"not a one-step scheme: {scheme}")
+    if milstein_sign not in ("standard", "paper"):
+        raise InvalidInputError(
+            f"milstein_sign must be 'standard' or 'paper', got {milstein_sign!r}")
+    sign = 1.0 if milstein_sign == "standard" else -1.0
+    # np.float64 ** gives inf on overflow where float ** raises; the array
+    # goes first so that numpy reuses its temporary
+    return 1.0 + mu * dt + sigma * dW + (dW * dW - dt) * (sign * 0.5 * np.float64(sigma)**2)
 
 
-def integrate(scheme: SchemeId, params: GbmParams, t_end: float,
+def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float,
               w, milstein_sign: str = "standard") -> np.ndarray:
-    """Run one scheme over [0, t_end], driven by matching Wiener paths.
+    """Run one scheme, a SchemeId or its name, over [0, t_end], driven by matching Wiener paths.
 
     w holds the Wiener values at the N+1 uniform nodes on its last axis, one
     row per path; the result has its shape. The two-step scheme requires an
     even N and fills nodes pairwise from the block multipliers; the one-step
     schemes fill sequentially.
     """
+    scheme = SchemeId.parse(scheme)
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     dt = _step_size(t_end, n)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, InvalidInputError, convergence_study, error_norms,
-                    local_error_study)
+from qpisde import (GbmParams, InvalidInputError, LocalErrorReport, convergence_study,
+                    error_norms, local_error_study)
 
 
 class TestErrorNorms:
@@ -25,6 +25,12 @@ class TestErrorNorms:
         b = np.array([1.0, 1.5, 2.0])
         with pytest.raises(InvalidInputError):
             error_norms(a, b)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1)])
+    def test_one_node_trajectories(self, shape):
+        # one node is no step: the norms divide by N = 0
+        with pytest.raises(InvalidInputError, match="at least two nodes"):
+            error_norms(np.ones(shape), np.ones(shape))
 
     def test_norm_inequalities(self):
         # Cauchy-Schwarz with the sum-over-N+1-terms / divide-by-N convention
@@ -119,3 +125,14 @@ class TestLocalErrorStudy:
             local_error_study(self.P, [float("nan")], 100, 0)
         with pytest.raises(InvalidInputError, match="at least 2"):
             local_error_study(self.P, [0.1], 100, 0)  # one point fits no slope
+
+    def test_no_paths(self):
+        with pytest.raises(InvalidInputError, match="n_paths must be >= 1, got 0"):
+            local_error_study(self.P, [0.1, 0.05], 0, 0)
+
+    @pytest.mark.parametrize("mean_sq", [[1e-3, 0.0], [1e-3, -1e-4]])
+    def test_slope_needs_positive_errors(self, mean_sq):
+        # a log-log fit through a zero or negative error has no slope
+        report = LocalErrorReport(dt_list=np.array([0.1, 0.05]), mean_sq=np.array(mean_sq))
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            report.slope()

@@ -21,8 +21,12 @@ from qpisde.model import GbmParams
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run(args):
-    return main(args)
+def exit_code(argv):
+    """main's return value, or the code it exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read(path):
@@ -32,7 +36,7 @@ def read(path):
 class TestSimulate:
     def test_single_path_row_count(self, tmp_path):
         out = tmp_path / "traj.csv"
-        rc = run(["simulate", "--mu", "-1", "--sigma", "0.5", "--n", "256",
+        rc = exit_code(["simulate", "--mu", "-1", "--sigma", "0.5", "--n", "256",
                   "--scheme", "qpi", "--seed", "42", "-o", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
@@ -40,13 +44,13 @@ class TestSimulate:
         assert len(lines) == 258
 
     def test_odd_n_for_qpi(self, capsys):
-        rc = run(["simulate", "--n", "255", "--scheme", "qpi"])
+        rc = exit_code(["simulate", "--n", "255", "--scheme", "qpi"])
         assert rc == 2
         assert "N must be even for qpi" in capsys.readouterr().err
 
     def test_multi_path_growth_at_positive_drift(self, tmp_path):
         out = tmp_path / "paths.csv"
-        rc = run(["simulate", "--mu", "1", "--sigma", "0.5", "--paths", "10",
+        rc = exit_code(["simulate", "--mu", "1", "--sigma", "0.5", "--paths", "10",
                   "--t-end", "1", "--n", "256", "--seed", "42", "-o", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
@@ -60,19 +64,21 @@ class TestSimulate:
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--n", "64", "--seed", "9"]
-        assert run(args + ["-o", str(a)]) == 0
-        assert run(args + ["-o", str(b)]) == 0
+        assert exit_code(args + ["-o", str(a)]) == 0
+        assert exit_code(args + ["-o", str(b)]) == 0
         assert read(a) == read(b)
 
-    def test_unwritable_output(self):
-        rc = run(["simulate", "--n", "8", "-o", "/nonexistent-dir/x.csv"])
+    def test_unwritable_output(self, capsys):
+        rc = exit_code(["simulate", "--n", "8", "-o", "/nonexistent-dir/x.csv"])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qpisde simulate: error: ") and err.count("\n") == 1
 
 
 class TestConverge:
     def test_row_cardinality(self, tmp_path):
         out = tmp_path / "conv.csv"
-        rc = run(["converge", "--n-list", "4,16,64", "--schemes", "qpi,iem,milstein",
+        rc = exit_code(["converge", "--n-list", "4,16,64", "--schemes", "qpi,iem,milstein",
                   "--paths", "5", "--seed", "7", "-o", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
@@ -81,7 +87,7 @@ class TestConverge:
 
     def test_errors_decrease_down_each_column(self, tmp_path):
         out = tmp_path / "conv.csv"
-        rc = run(["converge", "--n-list", "4,16,64,256", "--schemes", "qpi,iem",
+        rc = exit_code(["converge", "--n-list", "4,16,64,256", "--schemes", "qpi,iem",
                   "--paths", "20", "--seed", "7", "-o", str(out)])
         assert rc == 0
         rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
@@ -95,15 +101,15 @@ class TestConverge:
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["converge", "--n-list", "4,16", "--paths", "3", "--seed", "11"]
-        assert run(args + ["-o", str(a)]) == 0
-        assert run(args + ["-o", str(b)]) == 0
+        assert exit_code(args + ["-o", str(a)]) == 0
+        assert exit_code(args + ["-o", str(b)]) == 0
         assert read(a) == read(b)
 
 
 class TestStability:
     def test_csv_cardinality(self, tmp_path):
         out = tmp_path / "reg.csv"
-        rc = run(["stability", "--scheme", "qpi-paper", "--sigma", "0.5",
+        rc = exit_code(["stability", "--scheme", "qpi-paper", "--sigma", "0.5",
                   "--mu-range", "-4:1", "--dt-range", "0.01:1", "--grid", "20",
                   "-o", str(out)])
         assert rc == 0
@@ -113,7 +119,7 @@ class TestStability:
     def test_cells_at_anchor_points(self, tmp_path):
         out = tmp_path / "reg.csv"
         # axes chosen so (mu, dt) = (-1, 0.5) and (1, 0.5) are grid points
-        rc = run(["stability", "--scheme", "qpi-paper", "--sigma", "0.5",
+        rc = exit_code(["stability", "--scheme", "qpi-paper", "--sigma", "0.5",
                   "--mu-range", "-2:2", "--dt-range", "0.25:0.75", "--grid", "5",
                   "-o", str(out)])
         assert rc == 0
@@ -126,19 +132,19 @@ class TestStability:
 
     def test_svg_format(self, tmp_path):
         out = tmp_path / "reg.svg"
-        rc = run(["stability", "--grid", "10", "--format", "svg", "-o", str(out)])
+        rc = exit_code(["stability", "--grid", "10", "--format", "svg", "-o", str(out)])
         assert rc == 0
         text = out.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text
 
     def test_invalid_range(self, capsys):
-        rc = run(["stability", "--mu-range", "1:-1"])
+        rc = exit_code(["stability", "--mu-range", "1:-1"])
         assert rc == 2
 
     def test_iem_squared_denominator_overflow(self, capsys):
         # (1 - mu*dt)^2 overflows at dt = 1e200; the cells must not read 0
-        assert run(["stability", "--scheme", "iem", "--mu-range", "-4:1",
+        assert exit_code(["stability", "--scheme", "iem", "--mu-range", "-4:1",
                     "--dt-range", "0.01:1e200", "--grid", "2"]) == 0
         rows = capsys.readouterr().out.split("\n")
         assert rows[2] == "-4,9.9999999999999997e+199,1.5625e-202,1"
@@ -147,15 +153,15 @@ class TestStability:
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         args = ["stability", "--grid", "12", "--format", "svg"]
-        assert run(args + ["-o", str(a)]) == 0
-        assert run(args + ["-o", str(b)]) == 0
+        assert exit_code(args + ["-o", str(a)]) == 0
+        assert exit_code(args + ["-o", str(b)]) == 0
         assert read(a) == read(b)
 
 
 class TestLocalError:
     def test_csv_and_slope_line(self, tmp_path):
         out = tmp_path / "le.csv"
-        rc = run(["local-error", "--dt-list", "0.125,0.0625,0.03125",
+        rc = exit_code(["local-error", "--dt-list", "0.125,0.0625,0.03125",
                   "--samples", "2000", "--seed", "5", "-o", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
@@ -170,8 +176,8 @@ class TestLocalError:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["local-error", "--dt-list", "0.25,0.125", "--samples", "500",
                 "--seed", "3"]
-        assert run(args + ["-o", str(a)]) == 0
-        assert run(args + ["-o", str(b)]) == 0
+        assert exit_code(args + ["-o", str(a)]) == 0
+        assert exit_code(args + ["-o", str(b)]) == 0
         assert read(a) == read(b)
 
 
@@ -180,7 +186,7 @@ class TestConfigAndHelp:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 4  # small grid\nscheme = em\n")
         out = tmp_path / "t.csv"
-        rc = run(["simulate", "--config", str(cfg), "-o", str(out)])
+        rc = exit_code(["simulate", "--config", str(cfg), "-o", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 6
 
@@ -188,14 +194,14 @@ class TestConfigAndHelp:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=4\nscheme=em\n")
         out = tmp_path / "t.csv"
-        rc = run(["simulate", "--config", str(cfg), "--n", "8", "-o", str(out)])
+        rc = exit_code(["simulate", "--config", str(cfg), "--n", "8", "-o", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 10
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a pair\n")
-        assert run(["simulate", "--config", str(cfg)]) == 2
+        assert exit_code(["simulate", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("sub", ["simulate", "converge", "stability", "local-error"])
     def test_help_lists_flags(self, sub, capsys):
@@ -206,13 +212,13 @@ class TestConfigAndHelp:
         assert "--seed" in text and "default" in text
 
     def test_unknown_scheme(self, capsys):
-        assert run(["simulate", "--scheme", "rk4", "--n", "8"]) == 2
+        assert exit_code(["simulate", "--scheme", "rk4", "--n", "8"]) == 2
 
     def test_flag_before_config_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=4\nscheme=em\n")
         out = tmp_path / "t.csv"
-        rc = run(["simulate", "--n", "8", "--config", str(cfg), "-o", str(out)])
+        rc = exit_code(["simulate", "--n", "8", "--config", str(cfg), "-o", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 10
 
@@ -241,14 +247,6 @@ class TestConfigAndHelp:
             main(["stability", "--help"])
         text = capsys.readouterr().out
         assert "--sigma" in text and "--mu " not in text and "--x0" not in text
-
-
-def exit_code(argv):
-    """main's return value, or the code argparse exits with."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 class TestInputContract:
@@ -319,8 +317,16 @@ class TestInputContract:
             argv = argv + ["--config", str(cfg)]
         assert exit_code(argv + ["-o", str(out)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"qpisde {argv[0]}: error: ")
         assert named in err and "Traceback" not in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_config_path_with_newline_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "a\nb.cfg"
+        cfg.write_text("nn=4\n")
+        assert exit_code(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"qpisde simulate: error: {tmp_path}/a b.cfg: unknown key(s) for simulate: nn\n"
 
     @pytest.mark.parametrize("spaced,joined", [
         (["simulate", "--mu", "-1e-3", "--n", "2"], ["simulate", "--mu=-1e-3", "--n", "2"]),
@@ -348,6 +354,7 @@ class TestInputContract:
             warnings.simplefilter("error", RuntimeWarning)
             assert exit_code(argv + ["-o", str(out)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"qpisde {argv[0]}: error: ")
         assert "inf or nan" in err and err.count("\n") == 1
         assert not out.exists()
 
@@ -365,7 +372,8 @@ class TestInputContract:
         assert exit_code(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and "usage:" not in captured.err
-        assert captured.err.startswith("qpisde") and ": error: " in captured.err
+        # an unknown flag too is reported by the subcommand it follows
+        assert captured.err.startswith(f"qpisde {argv[0]}: error: " if argv else "qpisde: error: ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
@@ -380,8 +388,8 @@ class TestInputContract:
         def out_of_memory(args):
             raise MemoryError(message)
         monkeypatch.setattr(cli, "cmd_stability", out_of_memory)
-        assert main(["stability", "--grid", "2"]) == 1
-        assert capsys.readouterr().err == line + "\n"
+        assert exit_code(["stability", "--grid", "2"]) == 1
+        assert capsys.readouterr().err == f"qpisde stability: error: {line}\n"
 
 
 # Runs each argv in a process that may map only 512 MiB, so a run that gets past
@@ -421,6 +429,7 @@ class TestWorkSize:
         assert done.returncode == 0, done.stderr
         for (argv, flag), (code, err) in zip(self.OVERSIZE, json.loads(done.stdout)):
             assert code == 2, (argv, err)
+            assert err.startswith(f"qpisde {argv[0]}: error: "), (argv, err)
             assert flag in err and "limit" in err and err.count("\n") == 1, (argv, err)
 
     def test_budget_edge(self):
@@ -439,7 +448,7 @@ class TestWorkSize:
         monkeypatch.setattr(cli, "MAX_VALUES", values)
         assert main(argv) == 0
         monkeypatch.setattr(cli, "MAX_VALUES", values - 1)
-        assert main(argv) == 2
+        assert exit_code(argv) == 2
         assert "limit" in capsys.readouterr().err
 
 
@@ -526,8 +535,8 @@ def test_any_argv_keeps_the_input_contract(argv):
         code = exit_code(argv)
     err = err.getvalue()
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
-    if code == 2:
-        assert err.count("\n") == 1, (argv, err)
+    if code:
+        assert err.count("\n") == 1 and err.startswith(f"qpisde {argv[0]}: error: "), (argv, err)
     if code == 0 and argv[0] != "stability":
         fields = set(re.split(r"[,\n=]", out.getvalue()))
         assert not fields & {"inf", "-inf", "nan"}, argv

@@ -39,6 +39,26 @@ class TestSchemeId:
         with pytest.raises(InvalidInputError):
             SchemeId.parse("heun")
 
+    def test_parse_passes_an_id_through(self):
+        for scheme in SchemeId:
+            assert SchemeId.parse(scheme) is scheme
+
+    @pytest.mark.parametrize("name,scheme", [
+        ("qpi", SchemeId.QPI), ("QPI", SchemeId.QPI), ("em", EM), (" EM ", EM),
+        ("iem", IEM), ("Milstein", MIL),
+    ])
+    def test_integrate_takes_a_name_or_an_id(self, name, scheme):
+        w = generate_path([mix_seed(3, k) for k in range(4)], 1.0, 16)
+        by_name = integrate(name, P, 1.0, w, milstein_sign="paper")
+        by_id = integrate(scheme, P, 1.0, w, milstein_sign="paper")
+        assert by_name.tobytes() == by_id.tobytes()
+
+    @pytest.mark.parametrize("scheme,shown", [("rk4", "'rk4'"), (3, "3"), (None, "None")])
+    def test_integrate_rejects_an_unknown_scheme(self, scheme, shown):
+        with pytest.raises(InvalidInputError, match=f"unknown scheme {shown}; expected one of "
+                                                    "qpi, em, iem, milstein"):
+            integrate(scheme, P, 1.0, np.zeros(5))
+
 
 class TestSteps:
     def test_em_hand_value(self):

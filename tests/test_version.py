@@ -1,15 +1,13 @@
-"""The package version is defined twice, once for packaging and once for the
-code; a release bumps both."""
+"""The package version is defined once, as `qpisde.__version__`; pyproject.toml
+reads it from there, so a release bumps one file."""
 
 import pathlib
-import re
 
 import qpisde
+from setuptools.config.pyprojecttoml import read_configuration
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_pyproject_version_is_the_package_version():
-    project = PYPROJECT.read_text().split("[project]", 1)[1].split("\n[", 1)[0]
-    (version,) = re.findall(r'^version = "([^"]+)"$', project, flags=re.M)
-    assert version == qpisde.__version__
+    assert read_configuration(PYPROJECT, expand=True)["project"]["version"] == qpisde.__version__
