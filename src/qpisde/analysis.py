@@ -69,8 +69,7 @@ class ConvergenceTable:
 
 
 def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
-                      master_seed: int, t_end: float = 1.0,
-                      milstein_sign: str = "standard") -> ConvergenceTable:
+                      master_seed: int, t_end: float = 1.0) -> ConvergenceTable:
     """Mean strong-error table over shared Brownian paths.
 
     For each block of paths: draw one fine path per row at max(n_list)
@@ -104,7 +103,7 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
             w = coarsen(fine, n_max // n)
             exact = exact_solution(params, t_end, w)
             for s in schemes:
-                approx = integrate(s, params, t_end, w, milstein_sign=milstein_sign)
+                approx = integrate(s, params, t_end, w)
                 norms[(s, n)][:, start:stop] = error_norms(exact, approx)
     table = ConvergenceTable()
     for (s, n), v in norms.items():

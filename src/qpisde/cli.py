@@ -13,13 +13,13 @@ defaults; the defaults mirror the reference experiment settings
 names. A key the subcommand does not have is an error naming the file and
 the key; every other line is spliced into argv as `--key=value` right after
 the subcommand word, so argparse checks it as the flag and reports a bad
-value in one line naming the flag, e.g. `argument --milstein-sign: invalid
-choice: 'bogus'`. Each flag's argparse type checks its value, so a bad list
+value in one line naming the flag, e.g. `argument --format: invalid choice:
+'png'`. Each flag's argparse type checks its value, so a bad list
 item (an empty one too), range, count or seed fails the same way. `stability`
 takes --sigma but not --mu or --x0, and accepts --seed without using it.
 
-A command that would hold more than MAX_VALUES float64 values at once exits 2,
-naming its size flags, before it draws or allocates anything. Every writer
+A command whose main arrays would hold more than MAX_VALUES float64 values
+exits 2, naming its size flags, before it draws or allocates anything. Every writer
 returns ASCII chunks, written only once all are built: as bytes to the -o
 file, opened in binary mode, or decoded to stdout for `-o -`.
 
@@ -30,6 +30,7 @@ exits as argparse does: 2 for bad input, 1 for IO or memory; success returns 0.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
@@ -39,22 +40,28 @@ from .errors import InvalidInputError, QpisdeError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
-# the work-size budget: 2**26 float64 values are 512 MiB
+# the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays. With
+# temporaries and CSV text, peak RSS grew 13-15x the count for stability, 5-7x for the others
 MAX_VALUES = 1 << 26
 
 
 def _load_config(path: str) -> dict:
-    """Parse a line-based `key=value` config file; `#` starts a comment."""
+    """Parse a line-based UTF-8 `key=value` config file; `#` starts a comment."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # newline=None splits lines as a file opened in text mode does
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}") from None
     cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
 
 
@@ -100,7 +107,7 @@ def _int_in(low: int, high: float = np.inf, bounds: str = ""):
 
 
 def _check_size(values: int, flags: str) -> None:
-    """Refuse a run that would hold more than MAX_VALUES float64 values at once."""
+    """Refuse a run whose main arrays, not temporaries or CSV text, would exceed MAX_VALUES values."""
     if values > MAX_VALUES:
         raise InvalidInputError(f"{flags}: the run would hold {values:.3g} values at once, "
                                 f"more than the limit of {MAX_VALUES}")
@@ -131,7 +138,7 @@ def cmd_simulate(args) -> None:
     scheme = SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
     _check_size(n_paths * (n + 1), "--paths and --n")
     w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
-    approx = integrate(scheme, params, t_end, w, milstein_sign=args.milstein_sign)
+    approx = integrate(scheme, params, t_end, w)
     if n_paths == 1:
         header = "t,exact,approx"
         columns = np.concatenate((exact_solution(params, t_end, w), approx))
@@ -151,8 +158,7 @@ def cmd_converge(args) -> None:
     _check_size(max(_csvtext._BATCH_VALUES, max(args.n_list) + 1)
                 + 3 * args.paths * len(schemes) * len(args.n_list), "--n-list, --paths and --schemes")
     table = analysis.convergence_study(schemes, _gbm_params(args), args.n_list,
-                                       args.paths, args.seed, t_end=args.t_end,
-                                       milstein_sign=args.milstein_sign)
+                                       args.paths, args.seed, t_end=args.t_end)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
     _write_output(args.output, table.to_csv())
 
@@ -212,12 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd[name].add_argument("--x0", type=float, default=1.0, help="initial value (default %(default)s)")
     for name in ("simulate", "converge"):
         cmd[name].add_argument("--t-end", type=float, default=1.0, help="horizon T (default %(default)s)")
-        cmd[name].add_argument("--milstein-sign", choices=("standard", "paper"), default="standard",
-                               help="Milstein correction sign (default %(default)s)")
 
     p = cmd["simulate"]
     p.add_argument("--n", type=_int_in(1), default=256, help="number of steps (default %(default)s)")
-    p.add_argument("--scheme", default="qpi", help="qpi|em|iem|milstein (default %(default)s)")
+    p.add_argument("--scheme", default="qpi", help="qpi|em|iem|milstein|milstein-paper (default %(default)s)")
     p.add_argument("--paths", type=_int_in(1), default=1, help="number of paths (default %(default)s)")
 
     p = cmd["converge"]

@@ -16,7 +16,7 @@ eliminating the midpoint), with the diffusion term frozen at X_{2n}.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,8 @@ class SchemeId(enum.Enum):
     QPI = "qpi"
     EULER_MARUYAMA = "em"
     IMPLICIT_EM = "iem"
-    MILSTEIN = "milstein"
+    MILSTEIN = "milstein"  # adds sigma^2/2 (dW^2 - dt), as in Kloeden & Platen (1992)
+    MILSTEIN_PAPER = "milstein-paper"  # subtracts it, as published
 
     @classmethod
     def parse(cls, name) -> "SchemeId":
@@ -39,8 +40,7 @@ class SchemeId(enum.Enum):
             raise InvalidInputError(f"unknown scheme {name!r}; expected one of {valid}")
 
 
-@dataclass(frozen=True)
-class QpiBlockCoeffs:
+class QpiBlockCoeffs(NamedTuple):
     """Random multipliers (alpha, beta) of one two-step block."""
 
     alpha: float
@@ -101,7 +101,7 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
 
 
 def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
-                          dW: np.ndarray, milstein_sign: str) -> np.ndarray:
+                          dW: np.ndarray) -> np.ndarray:
     mu, sigma = params.mu, params.sigma
     if scheme is SchemeId.EULER_MARUYAMA:
         return 1.0 + mu * dt + sigma * dW
@@ -109,17 +109,13 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
         if _iem_singular(mu * dt):
             raise SingularStepError(f"implicit EM step singular: mu*dt = 1 (mu={mu}, dt={dt})")
         return (1.0 + sigma * dW) / (1.0 - mu * dt)
-    if milstein_sign not in ("standard", "paper"):
-        raise InvalidInputError(
-            f"milstein_sign must be 'standard' or 'paper', got {milstein_sign!r}")
-    sign = 1.0 if milstein_sign == "standard" else -1.0
+    sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
     # np.float64 ** gives inf on overflow where float ** raises; the array
     # goes first so that numpy reuses its temporary
     return 1.0 + mu * dt + sigma * dW + (dW * dW - dt) * (sign * 0.5 * np.float64(sigma)**2)
 
 
-def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float,
-              w, milstein_sign: str = "standard") -> np.ndarray:
+def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w) -> np.ndarray:
     """Run one scheme, a SchemeId or its name, over [0, t_end], driven by matching Wiener paths.
 
     w holds the Wiener values at the N+1 uniform nodes on its last axis, one
@@ -145,7 +141,7 @@ def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float,
         np.cumprod(beta, axis=-1, out=values[..., 2::2])
         np.multiply(alpha, values[..., 0:-1:2], out=values[..., 1::2])
     else:
-        mult = _one_step_multipliers(scheme, params, dt, dW, milstein_sign)
+        mult = _one_step_multipliers(scheme, params, dt, dW)
         np.cumprod(mult, axis=-1, out=dW)
     values *= params.x0
     return values

@@ -87,8 +87,8 @@ def iem_amplification(mu: float, sigma: float, dt: float):
 def milstein_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of Milstein.
 
-    Identical for both sign conventions: the correction term is orthogonal
-    to dW and its square is sign-insensitive.
+    Identical for both sign conventions, so it covers the scheme ids `milstein`
+    and `milstein-paper`: the correction is orthogonal to dW, its square sign-free.
     """
     h = _mu_dt(mu, dt)
     # np.float64 ** gives inf on overflow where float ** raises

@@ -89,10 +89,10 @@ def test_criterion_1_coefficient_oracle_equivalence():
         dwa, dwb = rng.uniform(-3 * s, 3 * s, size=2)
         p = GbmParams(mu=mu_dt / dt, sigma=sigma)
         alpha, beta = _qpi_alpha_beta(p.mu, p.sigma, dt, dwa, dwb)
-        o = qpi_block_solve_oracle(p, dt, dwa, dwb)
+        o_alpha, o_beta = qpi_block_solve_oracle(p, dt, dwa, dwb)
         worst = max(worst,
-                    abs(alpha - o.alpha) / max(abs(o.alpha), 1e-300),
-                    abs(beta - o.beta) / max(abs(o.beta), 1e-300))
+                    abs(alpha - o_alpha) / max(abs(o_alpha), 1e-300),
+                    abs(beta - o_beta) / max(abs(o_beta), 1e-300))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     report(1, ok, f"worst rel diff {worst:.2e}, {elapsed:.2f}s")

@@ -33,36 +33,34 @@ def test_generate_path_rows_equal_single_seed(seeds, n, t_end):
 
 @settings(max_examples=100, deadline=None)
 @given(seeds=SEEDS, half=st.integers(1, 32), params=PARAMS,
-       scheme=st.sampled_from(list(SchemeId)),
-       sign=st.sampled_from(["standard", "paper"]))
-def test_batched_layers_equal_single_rows(seeds, half, params, scheme, sign):
+       scheme=st.sampled_from(list(SchemeId)))
+def test_batched_layers_equal_single_rows(seeds, half, params, scheme):
     w = generate_path(seeds, 1.0, 2 * half)
     exact = exact_solution(params, 1.0, w)
-    approx = integrate(scheme, params, 1.0, w, milstein_sign=sign)
+    approx = integrate(scheme, params, 1.0, w)
     norms = error_norms(exact, approx)
     assert exact.shape == approx.shape == w.shape
     assert all(v.shape == (len(seeds),) for v in norms)
     for k, row in enumerate(w):
         exact_k = exact_solution(params, 1.0, row)
-        approx_k = integrate(scheme, params, 1.0, row, milstein_sign=sign)
+        approx_k = integrate(scheme, params, 1.0, row)
         assert np.array_equal(exact[k], exact_k)
         assert np.array_equal(approx[k], approx_k)
         assert tuple(v[k] for v in norms) == error_norms(exact_k, approx_k)
     # leading axes beyond one broadcast the same way
     stacked = np.stack([w, w])
-    assert np.array_equal(integrate(scheme, params, 1.0, stacked, milstein_sign=sign),
+    assert np.array_equal(integrate(scheme, params, 1.0, stacked),
                           np.stack([approx, approx]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeds=SEEDS, half=st.integers(1, 32), params=PARAMS,
-       scheme=st.sampled_from(list(SchemeId)),
-       sign=st.sampled_from(["standard", "paper"]))
-def test_integrate_exactly_linear_in_x0(seeds, half, params, scheme, sign):
+       scheme=st.sampled_from(list(SchemeId)))
+def test_integrate_exactly_linear_in_x0(seeds, half, params, scheme):
     w = generate_path(seeds, 1.0, 2 * half)
     unit = GbmParams(mu=params.mu, sigma=params.sigma, x0=1.0)
-    assert np.array_equal(integrate(scheme, params, 1.0, w, milstein_sign=sign),
-                          params.x0 * integrate(scheme, unit, 1.0, w, milstein_sign=sign))
+    assert np.array_equal(integrate(scheme, params, 1.0, w),
+                          params.x0 * integrate(scheme, unit, 1.0, w))
 
 
 @settings(max_examples=200, deadline=None)
@@ -72,9 +70,9 @@ def test_closed_form_agrees_with_oracle(h, dt, sigma, za, zb):
     mu = h / dt
     dwa, dwb = za * np.sqrt(dt), zb * np.sqrt(dt)
     alpha, beta = _qpi_alpha_beta(mu, sigma, dt, dwa, dwb)
-    oracle = qpi_block_solve_oracle(GbmParams(mu=mu, sigma=sigma), dt, dwa, dwb)
-    assert alpha == pytest.approx(oracle.alpha, rel=1e-12, abs=1e-12)
-    assert beta == pytest.approx(oracle.beta, rel=1e-12, abs=1e-12)
+    o_alpha, o_beta = qpi_block_solve_oracle(GbmParams(mu=mu, sigma=sigma), dt, dwa, dwb)
+    assert alpha == pytest.approx(o_alpha, rel=1e-12, abs=1e-12)
+    assert beta == pytest.approx(o_beta, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

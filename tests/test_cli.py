@@ -223,8 +223,7 @@ class TestConfigAndHelp:
         assert len(out.read_text().strip().split("\n")) == 10
 
     @pytest.mark.parametrize("argv,line,flag", [
-        (["simulate", "--scheme", "milstein", "--n", "8"], "milstein_sign=paper",
-         ["--milstein-sign", "paper"]),
+        (["simulate", "--n", "8"], "scheme=milstein-paper", ["--scheme", "milstein-paper"]),
         (["stability", "--grid", "3"], "format=svg", ["--format", "svg"]),
         (["simulate", "--n", "4"], "mu=-1e-3", ["--mu", "-1e-3"]),
         (["converge", "--paths", "2"], "n_list=4,16", ["--n-list", "4,16"]),
@@ -271,7 +270,7 @@ class TestInputContract:
          "inf or nan"),
         (["stability", "--scheme", "milstein", "--mu-range", "-4:1", "--dt-range", "0.01:1e200",
           "--grid", "2"], None, "inf or nan"),
-        (["simulate", "--n", "4"], "milstein_sign=bogus\n", "bogus"),
+        (["stability", "--grid", "2"], "format=png\n", "argument --format: invalid choice: 'png'"),
         (["stability", "--grid", "2"], "format=pdf\n", "pdf"),
         (["local-error", "--dt-list", "0.1"], None, "at least 2"),
         (["converge", "--schemes", "qpi,QPI", "--paths", "3", "--n-list", "4,16"], None, "repeat"),
@@ -287,6 +286,9 @@ class TestInputContract:
         # a prefix of another flag of the subcommand is not that flag
         (["converge", "--n", "64", "--paths", "2"], None, "unrecognized arguments: --n 64"),
         (["simulate", "--path", "2"], None, "unrecognized arguments: --path 2"),
+        # the Milstein sign is a scheme id, not a flag or a config key
+        (["simulate", "--milstein-sign", "paper"], None, "unrecognized arguments: --milstein-sign paper"),
+        (["converge", "--paths", "2"], "milstein_sign=paper\n", "for converge: milstein_sign"),
         (["local-error", "--sample", "10"], None, "unrecognized arguments: --sample 10"),
         # a size below its minimum names the flag, not the library parameter
         (["converge", "--paths", "0", "--n-list", "4,16"], None, "--paths"),
@@ -306,7 +308,8 @@ class TestInputContract:
             "config-choice", "config-format", "dt-list-single", "schemes-repeated",
             "seed-negative", "seed-2-64", "config-seed-negative", "stability-mu",
             "config-stability-mu", "config-stability-x0", "config-key-config",
-            "converge-n-prefix", "simulate-path-prefix", "local-error-sample-prefix",
+            "converge-n-prefix", "simulate-path-prefix", "removed-milstein-sign",
+            "config-removed-milstein-sign", "local-error-sample-prefix",
             "converge-paths-zero", "local-error-samples-zero", "stability-grid-one",
             "simulate-n-zero", "converge-sigma-overflow", "local-error-sigma-overflow", "milstein-sigma-overflow"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
@@ -327,6 +330,13 @@ class TestInputContract:
         assert exit_code(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == f"qpisde simulate: error: {tmp_path}/a b.cfg: unknown key(s) for simulate: nn\n"
+
+    def test_config_not_utf8_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n=4\nmu=-1\xff\xfe\n")
+        assert exit_code(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"qpisde simulate: error: {cfg}: not UTF-8 text: byte 9 is 0xff\n"
 
     @pytest.mark.parametrize("spaced,joined", [
         (["simulate", "--mu", "-1e-3", "--n", "2"], ["simulate", "--mu=-1e-3", "--n", "2"]),
@@ -361,7 +371,7 @@ class TestInputContract:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--bogus"],
         ["stability", "--format", "png"],
-        ["simulate", "--milstein-sign", "x"],
+        ["simulate", "--milstein-sign", "paper"],
         ["simulate", "--n", "abc"],
         [],
         ["simulate", "a\nb"],
@@ -493,18 +503,18 @@ class TestOutputRoutes:
 SPECIAL = ["0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", str(2**63), str(2**64), "", "-"]
 BASE = {"simulate": ["--n", "8"], "converge": ["--n-list", "2,4", "--paths", "3"],
         "stability": ["--grid", "4"], "local-error": ["--dt-list", "0.5,0.25", "--samples", "20"]}
-FLAGS = {"simulate": ["--mu", "--x0", "--t-end", "--milstein-sign", "--n", "--scheme", "--paths"],
-         "converge": ["--mu", "--x0", "--t-end", "--milstein-sign", "--n-list", "--schemes", "--paths"],
+FLAGS = {"simulate": ["--mu", "--x0", "--t-end", "--n", "--scheme", "--paths"],
+         "converge": ["--mu", "--x0", "--t-end", "--n-list", "--schemes", "--paths"],
          "stability": ["--scheme", "--mu-range", "--dt-range", "--grid", "--format"],
          "local-error": ["--mu", "--x0", "--dt-list", "--samples"]}
 VALUES = {
     "--seed": ["0", "85"], "--sigma": ["0", "0.5", "2"], "--mu": ["-1", "0", "3"],
-    "--x0": ["1", "-2"], "--t-end": ["1", "0.25"], "--milstein-sign": ["standard", "paper", "x"],
+    "--x0": ["1", "-2"], "--t-end": ["1", "0.25"],
     "--n": ["1", "2", "8"], "--paths": ["1", "3"], "--grid": ["2", "5"], "--samples": ["1", "20"],
-    "--scheme": ["qpi", "em", "iem", "milstein", "qpi-paper", "qpi-exact", "x"],
+    "--scheme": ["qpi", "em", "iem", "milstein", "milstein-paper", "qpi-paper", "qpi-exact", "x"],
     "--format": ["csv", "svg", "pdf"],
     "--n-list": ["2,4", "4,16", "1", "4,2", "0,4", "4,,8", "4.5,9", ",", "-4,8"],
-    "--schemes": ["qpi,iem", "milstein", "qpi,qpi", "qpi,,em", "x"],
+    "--schemes": ["qpi,iem", "milstein", "milstein,milstein-paper", "qpi,qpi", "qpi,,em", "x"],
     "--mu-range": ["-4:1", "1:-4", "0:0", ":", "1:", "1:2:3", "a:b", "-inf:1", "nan:1",
                    "-1e308:1e308"],
     "--dt-range": ["0.01:1", "0:1", "1e-300:1e300", "inf:1", "1:nan", "-1:1"],

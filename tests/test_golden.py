@@ -18,7 +18,7 @@ GOLDEN = [
      "524c08b84d7479c6e4ebe6fbaf640ed2c1b9c548a8a781f901905fc3f08ac3fc"),
     ("simulate-7-paths", ["simulate", "--n", "64", "--paths", "7"], None,
      "22f51bca47c93eea0bc1893e5dd9b3722ee30fd9dd16f2ab7849227f80cc932c"),
-    ("simulate-milstein-paper", ["simulate", "--scheme", "milstein", "--milstein-sign", "paper"], None,
+    ("simulate-milstein-paper", ["simulate", "--scheme", "milstein-paper"], None,
      "cddd066d536e2ccbf6736e6c7ef12d350ba0fcc6be721fedf1cc531891b8fb2d"),
     # a non-unit t_end and x0 pin the increment scale sqrt(dt) and the x0 factor
     ("simulate-t-end-x0-iem", ["simulate", "--t-end", "2.5", "--x0", "3", "--scheme", "iem",
@@ -29,6 +29,11 @@ GOLDEN = [
      "5cd2cd302dfe68601ac39f732d7a57e41a804c0b5925dd70bea5521e22cb9bba"),
     ("converge", ["converge", "--n-list", "4,16,64", "--paths", "20"], None,
      "8b4ea8457ec712a02630c933edad2647f0ea0682922bb4ace460e4ba6e46e19c"),
+    # both Milstein signs in one table: the milstein-paper rows are the
+    # milstein rows of the published sign
+    ("converge-milstein-signs", ["converge", "--schemes", "milstein,milstein-paper",
+                                 "--n-list", "4,16", "--paths", "6"], None,
+     "899e3266e75c3c76de4ce04a8d0e8e7e5663ae64c6cafa020a9601a947920498"),
     ("converge-config", ["converge"], CONVERGE_CONFIG,
      "0e51d73b6e29c7462cee1feb6af08ec2646868ed580aa1f3bfeef9fe3551b8d4"),
     ("stability-csv", ["stability", "--grid", "30"], None,

@@ -16,21 +16,23 @@ def zero_noise_path(n):
     return np.zeros(n + 1)
 
 
-def one_step(scheme, params, dt, x, dw, milstein_sign="standard"):
+def one_step(scheme, params, dt, x, dw):
     """State after one step of size dt from x, through integrate on a one-step grid."""
     path = np.array([0.0, dw])
     start = GbmParams(mu=params.mu, sigma=params.sigma, x0=x)
-    traj = integrate(scheme, start, dt, path, milstein_sign=milstein_sign)
+    traj = integrate(scheme, start, dt, path)
     return traj[1]
 
 
-EM, IEM, MIL = SchemeId.EULER_MARUYAMA, SchemeId.IMPLICIT_EM, SchemeId.MILSTEIN
+EM, IEM = SchemeId.EULER_MARUYAMA, SchemeId.IMPLICIT_EM
+MIL, MIL_PAPER = SchemeId.MILSTEIN, SchemeId.MILSTEIN_PAPER
 
 
 class TestSchemeId:
     @pytest.mark.parametrize("name,expected", [
         ("qpi", SchemeId.QPI), ("em", SchemeId.EULER_MARUYAMA),
         ("iem", SchemeId.IMPLICIT_EM), ("milstein", SchemeId.MILSTEIN),
+        ("milstein-paper", SchemeId.MILSTEIN_PAPER),
     ])
     def test_parse(self, name, expected):
         assert SchemeId.parse(name) is expected
@@ -45,18 +47,18 @@ class TestSchemeId:
 
     @pytest.mark.parametrize("name,scheme", [
         ("qpi", SchemeId.QPI), ("QPI", SchemeId.QPI), ("em", EM), (" EM ", EM),
-        ("iem", IEM), ("Milstein", MIL),
+        ("iem", IEM), ("Milstein", MIL), (" Milstein-Paper", MIL_PAPER),
     ])
     def test_integrate_takes_a_name_or_an_id(self, name, scheme):
         w = generate_path([mix_seed(3, k) for k in range(4)], 1.0, 16)
-        by_name = integrate(name, P, 1.0, w, milstein_sign="paper")
-        by_id = integrate(scheme, P, 1.0, w, milstein_sign="paper")
+        by_name = integrate(name, P, 1.0, w)
+        by_id = integrate(scheme, P, 1.0, w)
         assert by_name.tobytes() == by_id.tobytes()
 
     @pytest.mark.parametrize("scheme,shown", [("rk4", "'rk4'"), (3, "3"), (None, "None")])
     def test_integrate_rejects_an_unknown_scheme(self, scheme, shown):
         with pytest.raises(InvalidInputError, match=f"unknown scheme {shown}; expected one of "
-                                                    "qpi, em, iem, milstein"):
+                                                    "qpi, em, iem, milstein, milstein-paper"):
             integrate(scheme, P, 1.0, np.zeros(5))
 
 
@@ -86,24 +88,20 @@ class TestSteps:
             one_step(IEM, GbmParams(mu=2.0, sigma=0.5), 0.5, 1.0, 0.0)
 
     def test_milstein_standard(self):
-        assert one_step(MIL, P, 0.1, 1.0, 0.2, "standard") == \
+        assert one_step(MIL, P, 0.1, 1.0, 0.2) == \
             pytest.approx(0.9925, rel=1e-12)
 
     def test_milstein_paper_sign(self):
-        assert one_step(MIL, P, 0.1, 1.0, 0.2, "paper") == \
+        assert one_step(MIL_PAPER, P, 0.1, 1.0, 0.2) == \
             pytest.approx(1.0075, rel=1e-12)
 
     def test_milstein_conventions_coincide_when_correction_vanishes(self):
         dt = 0.3
         dw = math.sqrt(dt)
-        std = one_step(MIL, P, dt, 2.0, dw, "standard")
-        pap = one_step(MIL, P, dt, 2.0, dw, "paper")
+        std = one_step(MIL, P, dt, 2.0, dw)
+        pap = one_step(MIL_PAPER, P, dt, 2.0, dw)
         assert std == pytest.approx(pap, rel=1e-14)
         assert std == pytest.approx(one_step(EM, P, dt, 2.0, dw), rel=1e-14)
-
-    def test_milstein_rejects_bad_convention(self):
-        with pytest.raises(InvalidInputError):
-            one_step(MIL, P, 0.1, 1.0, 0.2, "flipped")
 
 
 class TestQpiBlock:
@@ -123,9 +121,9 @@ class TestQpiBlock:
         assert beta == pytest.approx(1.15, rel=1e-14)
 
     def test_oracle_deterministic_block(self):
-        c = qpi_block_solve_oracle(GbmParams(mu=-1.0, sigma=0.0), 0.1, 0.0, 0.0)
-        assert c.alpha == pytest.approx(0.9048337, rel=1e-6)
-        assert c.beta == pytest.approx(0.8187312, rel=1e-6)
+        alpha, beta = qpi_block_solve_oracle(GbmParams(mu=-1.0, sigma=0.0), 0.1, 0.0, 0.0)
+        assert alpha == pytest.approx(0.9048337, rel=1e-6)
+        assert beta == pytest.approx(0.8187312, rel=1e-6)
 
     def test_closed_form_matches_oracle_randomized(self):
         rng = np.random.default_rng(2024)
@@ -138,9 +136,9 @@ class TestQpiBlock:
             dwa, dwb = rng.uniform(-3 * s, 3 * s, size=2)
             p = GbmParams(mu=mu, sigma=sigma)
             alpha, beta = _qpi_alpha_beta(p.mu, p.sigma, dt, dwa, dwb)
-            o = qpi_block_solve_oracle(p, dt, dwa, dwb)
-            assert alpha == pytest.approx(o.alpha, rel=1e-12, abs=1e-12)
-            assert beta == pytest.approx(o.beta, rel=1e-12, abs=1e-12)
+            o_alpha, o_beta = qpi_block_solve_oracle(p, dt, dwa, dwb)
+            assert alpha == pytest.approx(o_alpha, rel=1e-12, abs=1e-12)
+            assert beta == pytest.approx(o_beta, rel=1e-12, abs=1e-12)
 
     def test_block_equations_residuals(self):
         # substituting (alpha, beta) back into the two quadrature equations

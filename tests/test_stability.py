@@ -131,9 +131,8 @@ class TestReferenceAmplifications:
         rng = np.random.default_rng(5)
         mu, sigma, dt = -1.0, 0.7, 0.3
         dw = rng.normal(0.0, np.sqrt(dt), 10**6)
-        for sign in ("standard", "paper"):
-            m2 = _one_step_multipliers(SchemeId.MILSTEIN, GbmParams(mu=mu, sigma=sigma),
-                                       dt, dw, sign) ** 2
+        for scheme in (SchemeId.MILSTEIN, SchemeId.MILSTEIN_PAPER):
+            m2 = _one_step_multipliers(scheme, GbmParams(mu=mu, sigma=sigma), dt, dw) ** 2
             se = m2.std() / 1000
             assert abs(milstein_amplification(mu, sigma, dt) - m2.mean()) <= 4 * se
 
