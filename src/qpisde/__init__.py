@@ -5,8 +5,7 @@ experiments."""
 from .analysis import (ConvergenceTable, ErrorReport, LocalErrorReport,
                        convergence_study, error_norms, local_error_study)
 from .brownian import coarsen, generate_path, mix_seed
-from .errors import (InvalidInputError, QpisdeError, SingularBlockError,
-                     SingularStepError)
+from .errors import InvalidInputError, QpisdeError, SingularStepError
 from .model import GbmParams, exact_solution
 from .schemes import QpiBlockCoeffs, SchemeId, integrate, qpi_block_solve_oracle
 from .stability import (RegionGrid, iem_amplification, milstein_amplification,
@@ -18,7 +17,7 @@ __version__ = "0.2.0"
 __all__ = [
     "ConvergenceTable", "ErrorReport", "GbmParams",
     "InvalidInputError", "LocalErrorReport", "QpiBlockCoeffs", "QpisdeError",
-    "RegionGrid", "SchemeId", "SingularBlockError", "SingularStepError",
+    "RegionGrid", "SchemeId", "SingularStepError",
     "coarsen", "convergence_study", "error_norms",
     "exact_solution", "generate_path", "iem_amplification",
     "integrate", "local_error_study", "milstein_amplification", "mix_seed",

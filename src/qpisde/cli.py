@@ -41,7 +41,7 @@ from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays. With
-# temporaries and CSV text, peak RSS grew 13-15x the count for stability, 5-7x for the others
+# temporaries and CSV text, peak RSS grew 10-13x the count for stability, 5-7x for the others
 MAX_VALUES = 1 << 26
 
 
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd["simulate"]
     p.add_argument("--n", type=_int_in(1), default=256, help="number of steps (default %(default)s)")
-    p.add_argument("--scheme", default="qpi", help="qpi|em|iem|milstein|milstein-paper (default %(default)s)")
+    p.add_argument("--scheme", default="qpi", help="|".join(s.value for s in SchemeId) + " (default %(default)s)")
     p.add_argument("--paths", type=_int_in(1), default=1, help="number of paths (default %(default)s)")
 
     p = cmd["converge"]
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd["stability"]
     p.add_argument("--scheme", default="qpi-paper",
-                   help="qpi-paper|qpi-exact|iem|milstein (default %(default)s)")
+                   help="|".join(stability._CONDITIONS) + " (default %(default)s)")
     p.add_argument("--mu-range", type=_range, default="-4:1", help="low:high (default %(default)s)")
     p.add_argument("--dt-range", type=_range, default="0.01:1", help="low:high (default %(default)s)")
     p.add_argument("--grid", type=_int_in(2), default=100, help="samples per axis (default %(default)s)")

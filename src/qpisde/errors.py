@@ -10,8 +10,4 @@ class InvalidInputError(QpisdeError, ValueError):
 
 
 class SingularStepError(QpisdeError, ArithmeticError):
-    """A one-step update has a vanishing denominator (e.g. mu*dt = 1)."""
-
-
-class SingularBlockError(SingularStepError):
-    """The two-step block system is singular for the given mu*dt."""
+    """A step has a vanishing divisor: mu*dt = 1 for drift-implicit EM, 3 for the two-step block."""

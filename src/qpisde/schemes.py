@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularBlockError, SingularStepError
+from .errors import InvalidInputError, SingularStepError
 from .model import GbmParams, _step_size
 
 
@@ -47,10 +47,9 @@ class QpiBlockCoeffs(NamedTuple):
     beta: float
 
 
-def _qpi_block_system(h):
-    """Block denominators D = 1 - h + h^2/3, E = 1 - h/3 and where either is 0 (h = mu*dt)."""
-    d1, d2 = 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
-    return d1, d2, np.logical_or(d1 == 0.0, d2 == 0.0)
+def _qpi_singular(h):
+    """Where the block divisor E = 1 - h/3 vanishes (h = mu*dt); D = 1 - h + h^2/3 is >= 1/4."""
+    return 1.0 - h / 3.0 == 0.0
 
 
 def _iem_singular(h):
@@ -59,11 +58,10 @@ def _iem_singular(h):
 
 
 def _qpi_denominators(h):
-    """D and E of _qpi_block_system; raises SingularBlockError where either vanishes."""
-    d1, d2, singular = _qpi_block_system(h)
-    if singular.any():
-        raise SingularBlockError(f"block system singular for mu*dt = {h}")
-    return d1, d2
+    """Block denominators D = 1 - h + h^2/3 and E = 1 - h/3; raises SingularStepError where E = 0."""
+    if np.any(_qpi_singular(h)):
+        raise SingularStepError(f"block system singular for mu*dt = {h}")
+    return 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
 
 
 def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _csvtext
 from .errors import InvalidInputError, SingularStepError
-from .schemes import _iem_singular, _qpi_block_system, _qpi_denominators
+from .schemes import _iem_singular, _qpi_denominators, _qpi_singular
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
 
@@ -113,8 +113,8 @@ class RegionGrid:
 
 # condition -> (function, mask of h = mu*dt where that function raises SingularStepError)
 _CONDITIONS = {
-    "qpi-paper": (qpi_paper_lhs, lambda h: _qpi_block_system(h)[2]),
-    "qpi-exact": (qpi_exact_amplification, lambda h: _qpi_block_system(h)[2]),
+    "qpi-paper": (qpi_paper_lhs, _qpi_singular),
+    "qpi-exact": (qpi_exact_amplification, _qpi_singular),
     "iem": (iem_amplification, _iem_singular),
     "milstein": (milstein_amplification, lambda h: np.zeros(np.shape(h), dtype=bool)),
 }
@@ -128,8 +128,9 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     which keeps every axis value finite; resolution is the number of samples
     per axis (>= 2). Cells whose mu*dt is in the condition's singular set (where
     its function raises SingularStepError) get lhs = nan and are unstable. The
-    condition is evaluated once, on all other cells, so no value depends on its
-    neighbours; an overflow there raises InvalidInputError.
+    condition is evaluated once, elementwise over the whole grid, with the
+    regular stand-in mu = 0 at singular cells, so no value depends on its
+    neighbours; an overflow at a regular cell raises InvalidInputError.
     """
     if condition not in _CONDITIONS:
         raise InvalidInputError(
@@ -148,13 +149,14 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
     fn, singular_at = _CONDITIONS[condition]
-    mu, dt = np.broadcast_arrays(mu_axis[:, None], dt_axis[None, :])
-    regular = ~singular_at(mu * dt)
-    lhs = np.full(mu.shape, np.nan)
-    lhs[regular] = fn(mu[regular], sigma, dt[regular])
-    if not np.isfinite(lhs[regular]).all():
+    mu, dt = mu_axis[:, None], dt_axis[None, :]
+    singular = singular_at(mu * dt)
+    # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1
+    lhs = fn(np.where(singular, 0.0, mu), sigma, dt)
+    if not (np.isfinite(lhs) | singular).all():
         raise InvalidInputError("stability condition overflowed to inf or nan away from a "
                                 "singular point; no output written")
+    lhs[singular] = np.nan
     # nan < 1.0 is False, so the singular cells come out unstable
     return RegionGrid(condition=condition, sigma=sigma, mu_axis=mu_axis,
                       dt_axis=dt_axis, lhs=lhs, verdicts=lhs < 1.0)

@@ -17,6 +17,7 @@ from qpisde import _csvtext, analysis, cli, stability
 from qpisde.cli import main
 from qpisde.errors import InvalidInputError
 from qpisde.model import GbmParams
+from qpisde.schemes import SchemeId
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -210,6 +211,16 @@ class TestConfigAndHelp:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "--seed" in text and "default" in text
+
+    @pytest.mark.parametrize("sub,names", [
+        ("simulate", [s.value for s in SchemeId]),
+        ("stability", list(stability._CONDITIONS)),
+    ])
+    def test_help_lists_every_scheme(self, sub, names, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--scheme SCHEME {'|'.join(names)} (default" in text
 
     def test_unknown_scheme(self, capsys):
         assert exit_code(["simulate", "--scheme", "rk4", "--n", "8"]) == 2

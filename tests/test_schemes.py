@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qpisde import (GbmParams, InvalidInputError, SchemeId,
-                    SingularBlockError, SingularStepError,
+from qpisde import (GbmParams, InvalidInputError, SchemeId, SingularStepError,
                     exact_solution, generate_path, integrate, mix_seed,
                     qpi_block_solve_oracle)
-from qpisde.schemes import _qpi_alpha_beta
+from qpisde.schemes import _qpi_alpha_beta, _qpi_singular
 
 P = GbmParams(mu=-1.0, sigma=0.5)
 
@@ -171,10 +172,25 @@ class TestQpiBlock:
 
     def test_singular_block(self):
         # 1 - mu*dt/3 = 0 at mu*dt = 3
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(SingularStepError):
             _qpi_alpha_beta(3.0, 0.5, 1.0, 0.0, 0.0)
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(SingularStepError):
             qpi_block_solve_oracle(GbmParams(mu=3.0, sigma=0.5), 1.0, 0.0, 0.0)
+
+    # D = 1 - h + h^2/3 has its minimum 1/4 at h = 3/2, so E = 1 - h/3 is the only divisor that vanishes
+    @example(h=3.0)
+    @example(h=math.nextafter(3.0, -math.inf))
+    @example(h=math.nextafter(3.0, math.inf))
+    @example(h=1.5)
+    @example(h=0.0)
+    @example(h=math.inf)
+    @example(h=-math.inf)
+    @example(h=math.nan)
+    @given(h=st.floats())
+    def test_singular_set_is_where_a_denominator_vanishes(self, h):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at h = inf
+            d, e = 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
+        assert _qpi_singular(h) == ((d == 0.0) | (e == 0.0))
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_oracle_rejects_dt_not_finite_and_positive(self, dt):

@@ -104,6 +104,14 @@ class TestExactAmplification:
         assert qpi_paper_lhs(-0.2, 0.5, 0.5) < qpi_exact_amplification(-0.2, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("fn", [qpi_paper_lhs, qpi_exact_amplification])
+@pytest.mark.parametrize("mu,dt", [(3.0, 1.0), (6.0, 0.5)])
+def test_qpi_conditions_singular_at_block_pole(fn, mu, dt):
+    # E = 1 - mu*dt/3 vanishes at mu*dt = 3
+    with pytest.raises(SingularStepError, match="mu\\*dt = 3"):
+        fn(mu, 0.5, dt)
+
+
 class TestReferenceAmplifications:
     def test_iem_values(self):
         assert iem_amplification(-1.0, 0.5, 0.5) == pytest.approx(0.5, rel=1e-14)
