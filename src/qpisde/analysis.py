@@ -20,16 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvtext import _BATCH_VALUES
-from .brownian import _standard_normal, coarsen, generate_path, mix_seed
+from .brownian import _raw_words, _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
-def error_norms(exact, approx):
+def error_norms(exact, approx, scratch=None):
     """Discrete (l1, l2, linf) error norms along the last (node) axis.
 
     exact and approx hold trajectories on one grid, one row per path; each
-    norm has one value per row (a scalar for a single trajectory).
+    norm has one value per row (a scalar for a single trajectory). scratch,
+    if given, is a float64 array of their shape that the call may overwrite;
+    otherwise it allocates one.
     """
     exact, approx = np.asarray(exact, dtype=float), np.asarray(approx, dtype=float)
     if exact.shape != approx.shape or exact.ndim == 0:
@@ -37,7 +39,7 @@ def error_norms(exact, approx):
     n = exact.shape[-1] - 1
     if n < 1:
         raise InvalidInputError("trajectories must have at least two nodes")
-    e = exact - approx
+    e = np.subtract(exact, approx, out=scratch)
     np.abs(e, out=e)
     l1, linf = e.sum(axis=-1) / n, e.max(axis=-1)
     e *= e
@@ -68,6 +70,16 @@ class ConvergenceTable:
         return ["\n".join(["scheme,n,l1,l2,linf,n_paths", *lines, ""]).encode("ascii")]
 
 
+def _workspace_shape(n_max: int, n_paths: int) -> tuple[int, int, int]:
+    """A convergence study's workspace: the fine path block, the exact and
+    approximate trajectories and a scratch array, each of block rows by n_max + 1.
+
+    A block holds _BATCH_VALUES values, or one path if that is more, and at
+    most n_paths paths.
+    """
+    return 4, min(max(1, _BATCH_VALUES // (n_max + 1)), n_paths), n_max + 1
+
+
 def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
                       master_seed: int, t_end: float = 1.0) -> ConvergenceTable:
     """Mean strong-error table over shared Brownian paths.
@@ -75,7 +87,8 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     For each block of paths: draw one fine path per row at max(n_list)
     resolution, coarsen the block to every requested N, integrate every
     scheme, and measure the norms against the pathwise exact solution on the
-    same Wiener values. Rows hold the mean of each norm over the paths.
+    same Wiener values. Rows hold the mean of each norm over the paths. All
+    blocks and grids share one workspace, allocated once.
     """
     schemes = [SchemeId.parse(s) for s in schemes]
     if len(set(schemes)) != len(schemes):
@@ -94,17 +107,22 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
 
     norms = {(s, n): np.empty((3, n_paths)) for s in schemes for n in n_list}
-    block = max(1, _BATCH_VALUES // (n_max + 1))
+    work = np.empty(_workspace_shape(n_max, n_paths))
+    block = work.shape[1]
     for start in range(0, n_paths, block):
-        stop = min(start + block, n_paths)
-        fine = generate_path([mix_seed(master_seed, k) for k in range(start, stop)],
-                             t_end, n_max)
+        rows = min(block, n_paths - start)
+
+        def views(n):  # the workspace's four arrays as (rows, n + 1)
+            return [a.reshape(-1)[:rows * (n + 1)].reshape(rows, n + 1) for a in work]
+        fine = generate_path([mix_seed(master_seed, k) for k in range(start, start + rows)],
+                             t_end, n_max, out=views(n_max)[0])
         for n in n_list:
             w = coarsen(fine, n_max // n)
-            exact = exact_solution(params, t_end, w)
+            _, exact, approx, scratch = views(n)
+            exact_solution(params, t_end, w, out=exact)
             for s in schemes:
-                approx = integrate(s, params, t_end, w)
-                norms[(s, n)][:, start:stop] = error_norms(exact, approx)
+                integrate(s, params, t_end, w, out=approx, scratch=scratch)
+                norms[(s, n)][:, start:start + rows] = error_norms(exact, approx, scratch=scratch)
     table = ConvergenceTable()
     for (s, n), v in norms.items():
         # the mean adds the paths in order, so it does not depend on the block size
@@ -151,8 +169,9 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
         raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
     mean_sq = np.empty_like(dts)
     mu, sigma, x0 = params.mu, params.sigma, params.x0
-    for k, dt in enumerate(dts):
-        z = _standard_normal(np.random.PCG64(mix_seed(master_seed, k)).random_raw(2 * n_paths))
+    words = _raw_words([mix_seed(master_seed, k) for k in range(dts.size)], 2 * n_paths)
+    for k, (dt, raw) in enumerate(zip(dts, words)):
+        z = _standard_normal(raw)
         z *= math.sqrt(dt)
         dWa, dWb = z[:n_paths], z[n_paths:]
         _, beta = _qpi_alpha_beta(mu, sigma, dt, dWa, dWb)

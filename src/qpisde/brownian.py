@@ -14,18 +14,28 @@ sqrt(dt). The k are exactly default_rng(seed).integers(0, 2**53): for a
 power-of-two range numpy's bounded-integer draw never rejects a word and
 keeps its top 53 bits. Per-path seeds for Monte Carlo runs are derived from
 a master seed and the path index with a splitmix64 mix.
+
+A seed is an integer in [0, 2^64). The PCG64 states of a batch of seeds are
+computed in one numpy pass and equal np.random.PCG64(s).state (see
+_pcg64_states); each is set on one reused bit generator before its draw.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .model import _step_size
 
-_MASK64 = (1 << 64) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence: hash keys and multipliers of its pool and its output, mix multipliers
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_reused = threading.local()  # one PCG64 per thread; every draw sets its state first
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -38,6 +48,72 @@ def mix_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """The state of np.random.PCG64(s) for each seed s, computed for all seeds at once.
+
+    PCG64(s) hashes s through SeedSequence(s): its uint32 words fill a pool
+    of 4 words, the pool is mixed, and 8 words drawn from it give PCG64's
+    128-bit init and seq. A seed below 2^64 has one or two words, and a
+    missing high word hashes as the 0 it is padded with, so every seed takes
+    the same steps, done here once for all seeds as (low, high) words. The
+    hash runs on arrays, as a numpy uint32 scalar warns on overflow. PCG64's
+    set-seed step, state = ((inc + init) * M + inc) mod 2^128 with inc =
+    2 seq + 1, runs on Python ints.
+    """
+    for s in seeds:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK64:
+            raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {s!r}")
+    seeds = np.array(seeds, dtype=np.uint64)
+
+    def keys(key, mult, count):  # SeedSequence's running hash key: key, key*mult, ...
+        out = [key]
+        for _ in range(count):
+            out.append(out[-1] * mult & _MASK32)
+        return np.array(out, dtype=np.uint32)[:, None]
+
+    def hashmix(values, key):  # row i of values is hashed with key[i] and key[i + 1]
+        values = values ^ key[:-1]
+        values *= key[1:]
+        return values ^ values >> np.uint32(16)
+
+    key = keys(_INIT_A, _MULT_A, 16)
+    zero = np.zeros(seeds.shape, np.uint32)
+    pool = hashmix(np.stack([seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32),
+                             zero, zero]), key[:5])
+    for i in range(4):  # pool word i mixed into the other three, with keys 4 + 3i to 7 + 3i
+        others = [j for j in range(4) if j != i]
+        hashed = hashmix(pool[i], key[4 + 3 * i:8 + 3 * i])
+        mixed = pool[others] * np.uint32(_MIX_L) - hashed * np.uint32(_MIX_R)
+        pool[others] = mixed ^ mixed >> np.uint32(16)
+    # 8 words hashed from the pool, cycled twice, make the uint64 words of init and seq
+    words = hashmix(np.concatenate((pool, pool)), keys(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    states = []
+    for a, b, c, d in (words[1::2] << np.uint64(32) | words[0::2]).T.tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _raw_words(seeds, n: int):
+    """An iterator over the first n raw words of np.random.PCG64(s), for each seed s in turn.
+
+    The seeds are checked and hashed at once; each draw sets its seed's state
+    on the thread's one reused PCG64.
+    """
+    states = _pcg64_states(seeds)
+    try:
+        bitgen = _reused.pcg64
+    except AttributeError:
+        bitgen = _reused.pcg64 = np.random.PCG64(0)
+
+    def draw(state):
+        bitgen.state = state
+        return bitgen.random_raw(n)
+    return map(draw, states)
 
 
 def _standard_normal(raw: np.ndarray) -> np.ndarray:
@@ -54,25 +130,35 @@ def _standard_normal(raw: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def generate_path(seed, t_end: float, n_fine: int) -> np.ndarray:
+def generate_path(seed, t_end: float, n_fine: int, out=None) -> np.ndarray:
     """Sample seeded Wiener paths with n_fine increments on [0, t_end].
 
     One seed gives the n_fine+1 node values W(t_i), starting at W(0) = 0; a
     sequence of seeds gives one such row per seed. np.diff of the nodes gives
-    the increments, each N(0, t_end/n_fine).
+    the increments, each N(0, t_end/n_fine). A seed is an integer in
+    [0, 2^64), not a bool. The nodes go to out if it is given, a float64
+    array of the result's shape.
     """
     scale = math.sqrt(_step_size(t_end, n_fine))
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    w = np.zeros((len(seeds), n_fine + 1))
+    words = _raw_words(seeds, n_fine)
+    shape = (n_fine + 1,) if single else (len(seeds), n_fine + 1)
+    w = np.empty(shape) if out is None else out
+    if w.shape != shape or w.dtype != np.float64:
+        raise InvalidInputError(f"out must be a float64 array of shape {shape}, got {w.dtype} {w.shape}")
+    rows = w[None] if single else w
     # raw words, normals, increments and nodes share w's memory in turn
-    raw = w[:, 1:].view(np.uint64)
-    for row, s in zip(raw, seeds):
-        row[:] = np.random.PCG64(s).random_raw(n_fine)
-    z = _standard_normal(raw)
+    raw = rows[:, 1:].view(np.uint64)
+    for row, row_words in zip(raw, words):
+        row[:] = row_words
+    # elementwise over w's memory as one block if it is contiguous, the
+    # first node of each row included (it holds a stray word until zeroed)
+    z = _standard_normal(w.reshape(-1)[1:].view(np.uint64) if w.flags.c_contiguous else raw)
     z *= scale
-    np.cumsum(z, axis=-1, out=z)
-    return w[0] if single else w
+    rows[:, 0] = 0.0
+    np.cumsum(rows[:, 1:], axis=-1, out=rows[:, 1:])
+    return w
 
 
 def coarsen(w: np.ndarray, factor: int) -> np.ndarray:

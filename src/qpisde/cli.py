@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 
 import numpy as np
@@ -40,8 +41,9 @@ from .errors import InvalidInputError, QpisdeError
 from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
-# the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays. With
-# temporaries and CSV text, peak RSS grew 10-13x the count for stability, 5-7x for the others
+# the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
+# its study's whole workspace. With temporaries and CSV text, peak RSS grew 10-13x the count
+# for stability, 5-7x for simulate and local-error, 1.5x for converge
 MAX_VALUES = 1 << 26
 
 
@@ -109,7 +111,12 @@ def _int_in(low: int, high: float = np.inf, bounds: str = ""):
 def _check_size(values: int, flags: str) -> None:
     """Refuse a run whose main arrays, not temporaries or CSV text, would exceed MAX_VALUES values."""
     if values > MAX_VALUES:
-        raise InvalidInputError(f"{flags}: the run would hold {values:.3g} values at once, "
+        if values < 1e308:
+            count = f"{values:.3g}"
+        else:  # an int beyond the float range (--n-list 1e308); decimal is imported only here
+            from decimal import Decimal
+            count = f"{Decimal(values):.3g}"
+        raise InvalidInputError(f"{flags}: the run would hold {count} values at once, "
                                 f"more than the limit of {MAX_VALUES}")
 
 
@@ -153,10 +160,11 @@ def cmd_simulate(args) -> None:
 
 def cmd_converge(args) -> None:
     schemes = args.schemes.split(",")  # convergence_study parses the names
-    # a path block holds at most _BATCH_VALUES values or one path; each table
-    # row keeps 3 norms per path
-    _check_size(max(_csvtext._BATCH_VALUES, max(args.n_list) + 1)
-                + 3 * args.paths * len(schemes) * len(args.n_list), "--n-list, --paths and --schemes")
+    # the study's workspace and 3 norms per path for each table row; the
+    # study refuses an n below 1 before it allocates
+    workspace = math.prod(analysis._workspace_shape(max(1, *args.n_list), args.paths))
+    _check_size(workspace + 3 * args.paths * len(schemes) * len(args.n_list),
+                "--n-list, --paths and --schemes")
     table = analysis.convergence_study(schemes, _gbm_params(args), args.n_list,
                                        args.paths, args.seed, t_end=args.t_end)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")

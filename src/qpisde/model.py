@@ -44,17 +44,18 @@ def _step_size(t_end: float, n) -> float:
     return t_end / n
 
 
-def exact_solution(params: GbmParams, t_end: float, w) -> np.ndarray:
+def exact_solution(params: GbmParams, t_end: float, w, out=None) -> np.ndarray:
     """Evaluate x0 * exp((mu - sigma^2/2) t + sigma W(t)) at the nodes of [0, t_end].
 
     w holds the Wiener values at the N+1 uniform nodes on its last axis
     (W(0) = 0), one row per path, so the result is the pathwise exact solution
-    driven by the same noise as a numerical trajectory.
+    driven by the same noise as a numerical trajectory. It goes to out if
+    given, as numpy's out=.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     _step_size(t_end, n)
-    x = params.sigma * w
+    x = np.multiply(params.sigma, w, out=out)
     # np.float64 ** gives inf on overflow where float ** raises
     x += np.linspace(0.0, t_end, n + 1) * (params.mu - 0.5 * np.float64(params.sigma)**2)
     np.exp(x, out=x)

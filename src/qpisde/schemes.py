@@ -16,6 +16,7 @@ eliminating the midpoint), with the diffusion term frozen at X_{2n}.
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -64,14 +65,31 @@ def _qpi_denominators(h):
     return 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
 
 
-def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb):
-    """Vectorized closed-form block multipliers; dWa, dWb may be arrays."""
+def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb, out=None):
+    """Closed-form block multipliers (alpha, beta) for increments dWa, dWb (arrays or floats).
+
+    They go to out = (alpha, beta) if given, and the work overwrites dWa then;
+    without out the call allocates them and leaves dWa as it was.
+    """
     h = mu * dt
     d1, d2 = _qpi_denominators(h)
-    dWab = dWa + dWb
-    alpha = (1.0 - h * h / 6.0 - sigma * (h / 12.0) * dWab
-             + sigma * (1.0 - h / 3.0) * dWa) / d1
-    beta = (1.0 + h / 3.0 + (4.0 * h / 3.0) * alpha + sigma * dWab) / d2
+    if out is None:
+        dWa = np.array(dWa, dtype=float)
+        out = np.empty_like(dWa), np.empty_like(dWa)
+    alpha, beta = out
+    # alpha = (1 - h^2/6 - sigma (h/12) dWab + sigma (1 - h/3) dWa) / d1
+    dWab = np.add(dWa, dWb, out=beta)
+    np.multiply(sigma * (h / 12.0), dWab, out=alpha)
+    np.subtract(1.0 - h * h / 6.0, alpha, out=alpha)
+    dWa *= sigma * (1.0 - h / 3.0)
+    alpha += dWa
+    alpha /= d1
+    # beta = (1 + h/3 + (4h/3) alpha + sigma dWab) / d2
+    dWab *= sigma
+    drift = np.multiply(4.0 * h / 3.0, alpha, out=dWa)
+    drift += 1.0 + h / 3.0
+    beta += drift
+    beta /= d2
     return alpha, beta
 
 
@@ -98,48 +116,83 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
     return QpiBlockCoeffs(alpha=float(alpha), beta=float(beta))
 
 
-def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float,
-                          dW: np.ndarray) -> np.ndarray:
+def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, out=None):
+    """Per-step multipliers of a one-step scheme for the increments dW.
+
+    They go to out if given, and milstein's work overwrites dW then; without
+    out the call allocates them and leaves dW as it was.
+    """
     mu, sigma = params.mu, params.sigma
-    if scheme is SchemeId.EULER_MARUYAMA:
-        return 1.0 + mu * dt + sigma * dW
-    if scheme is SchemeId.IMPLICIT_EM:
+    if out is None:
+        dW = np.array(dW, dtype=float)
+        out = np.empty_like(dW)
+    if scheme is SchemeId.EULER_MARUYAMA:  # 1 + mu dt + sigma dW
+        np.multiply(sigma, dW, out=out)
+        out += 1.0 + mu * dt
+    elif scheme is SchemeId.IMPLICIT_EM:  # (1 + sigma dW) / (1 - mu dt)
         if _iem_singular(mu * dt):
             raise SingularStepError(f"implicit EM step singular: mu*dt = 1 (mu={mu}, dt={dt})")
-        return (1.0 + sigma * dW) / (1.0 - mu * dt)
-    sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
-    # np.float64 ** gives inf on overflow where float ** raises; the array
-    # goes first so that numpy reuses its temporary
-    return 1.0 + mu * dt + sigma * dW + (dW * dW - dt) * (sign * 0.5 * np.float64(sigma)**2)
+        np.multiply(sigma, dW, out=out)
+        out += 1.0
+        out /= 1.0 - mu * dt
+    else:  # 1 + mu dt + sigma dW + (dW^2 - dt) sign sigma^2/2
+        sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
+        np.multiply(dW, dW, out=out)
+        out -= dt
+        # np.float64 ** gives inf on overflow where float ** raises
+        out *= sign * 0.5 * np.float64(sigma)**2
+        dW *= sigma
+        dW += 1.0 + mu * dt
+        out += dW
+    return out
 
 
-def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w) -> np.ndarray:
+def _contiguous(a: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous array of the given shape in the first values of a's memory,
+    or a new one if a is not C-contiguous."""
+    if not a.flags.c_contiguous:
+        return np.empty(shape)
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w,
+              out=None, scratch=None) -> np.ndarray:
     """Run one scheme, a SchemeId or its name, over [0, t_end], driven by matching Wiener paths.
 
     w holds the Wiener values at the N+1 uniform nodes on its last axis, one
-    row per path; the result has its shape. The two-step scheme requires an
-    even N and fills nodes pairwise from the block multipliers; the one-step
-    schemes fill sequentially.
+    row per path; the result has its shape and goes to out if given, as
+    numpy's out=. scratch, if given, is a float64 array of w's shape that the
+    call may overwrite; otherwise it allocates one. The two-step scheme
+    requires an even N and fills nodes pairwise from the block multipliers;
+    the one-step schemes fill sequentially.
     """
     scheme = SchemeId.parse(scheme)
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     dt = _step_size(t_end, n)
+    if scheme is SchemeId.QPI and n % 2 != 0:
+        raise InvalidInputError("N must be even for qpi")
     # unit-x0 trajectory scaled once at the end, so trajectories are
-    # node-wise exactly linear in x0; the increments np.diff(w) are held in
-    # the trajectory's own nodes 1..N until the multipliers replace them
-    values = np.empty(w.shape)
-    values[..., 0] = 1.0
-    dW = np.subtract(w[..., 1:], w[..., :-1], out=values[..., 1:])
+    # node-wise exactly linear in x0. The increments are held in values'
+    # memory and the multipliers in scratch's, each as one contiguous block
+    values = np.empty(w.shape) if out is None else out
+    scratch = np.empty(w.shape) if scratch is None else scratch
     if scheme is SchemeId.QPI:
-        if n % 2 != 0:
-            raise InvalidInputError("N must be even for qpi")
-        alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt,
-                                      dW[..., 0::2], dW[..., 1::2])
+        # each block's first and second increment, then its alpha and beta, as two halves
+        half = (2, *w.shape[:-1], n // 2)
+        dWa, dWb = _contiguous(values, half)
+        np.subtract(w[..., 1::2], w[..., 0:-1:2], out=dWa)
+        np.subtract(w[..., 2::2], w[..., 1::2], out=dWb)
+        alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt, dWa, dWb,
+                                      out=_contiguous(scratch, half))
+        values[..., 0] = 1.0
         np.cumprod(beta, axis=-1, out=values[..., 2::2])
         np.multiply(alpha, values[..., 0:-1:2], out=values[..., 1::2])
     else:
-        mult = _one_step_multipliers(scheme, params, dt, dW)
-        np.cumprod(mult, axis=-1, out=dW)
+        steps = (*w.shape[:-1], n)
+        dW = np.subtract(w[..., 1:], w[..., :-1], out=_contiguous(values, steps))
+        mult = _one_step_multipliers(scheme, params, dt, dW, out=_contiguous(scratch, steps))
+        np.cumprod(mult, axis=-1, out=values[..., 1:])
+        values[..., 0] = 1.0
     values *= params.x0
     return values

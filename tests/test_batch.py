@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpisde import (GbmParams, SchemeId, analysis, coarsen,
+from qpisde import (GbmParams, SchemeId, analysis, brownian, coarsen,
                     convergence_study, error_norms, exact_solution,
                     generate_path, integrate, mix_seed, qpi_block_solve_oracle)
 from qpisde.schemes import _qpi_alpha_beta
@@ -31,11 +31,16 @@ def test_generate_path_rows_equal_single_seed(seeds, n, t_end):
         assert np.array_equal(row, single)
 
 
+def same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(seeds=SEEDS, half=st.integers(1, 32), params=PARAMS,
        scheme=st.sampled_from(list(SchemeId)))
 def test_batched_layers_equal_single_rows(seeds, half, params, scheme):
-    w = generate_path(seeds, 1.0, 2 * half)
+    fine = generate_path(seeds, 1.0, 4 * half)
+    w = coarsen(fine, 2)  # strided, as in a convergence study
     exact = exact_solution(params, 1.0, w)
     approx = integrate(scheme, params, 1.0, w)
     norms = error_norms(exact, approx)
@@ -51,6 +56,24 @@ def test_batched_layers_equal_single_rows(seeds, half, params, scheme):
     stacked = np.stack([w, w])
     assert np.array_equal(integrate(scheme, params, 1.0, stacked),
                           np.stack([approx, approx]))
+    # writing into a caller's arrays gives the allocating calls' bits, for
+    # contiguous views of a larger buffer (a convergence study's workspace)
+    # and for strided ones
+    buffer = np.full(4 * fine.size, np.nan)
+    contiguous = [buffer[k * w.size:(k + 1) * w.size].reshape(w.shape) for k in range(3)]
+    strided = list(np.full((3, *w.shape[:-1], 2 * w.shape[-1]), np.nan)[..., ::2])
+    for out_exact, out, scratch in (contiguous, strided):
+        assert exact_solution(params, 1.0, w, out=out_exact) is out_exact
+        assert same_bits(out_exact, exact)
+        for s in SchemeId:
+            assert integrate(s, params, 1.0, w, out=out, scratch=scratch) is out
+            assert same_bits(out, integrate(s, params, 1.0, w))
+            for got, want in zip(error_norms(exact, out, scratch=scratch), error_norms(exact, out)):
+                assert same_bits(got, want)
+    for out_fine in (buffer[1:fine.size + 1].reshape(fine.shape),
+                     np.full((*fine.shape[:-1], 2 * fine.shape[-1]), np.nan)[..., ::2]):
+        assert generate_path(seeds, 1.0, 4 * half, out=out_fine) is out_fine
+        assert same_bits(out_fine, fine)
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,3 +137,22 @@ def test_convergence_table_independent_of_block_size(batch_values, monkeypatch):
     assert table.to_csv() == reference.to_csv()
     expected = per_path_table(7)
     assert {(r.scheme.value, r.n_steps): (r.l1, r.l2, r.linf) for r in table.rows} == expected
+
+
+def test_one_bit_generator_per_call(monkeypatch):
+    # seeds are hashed in one batch, and every path is drawn by one reused PCG64
+    built = []
+    pcg64 = np.random.PCG64
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return pcg64(*args, **kwargs)
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    monkeypatch.delattr(brownian._reused, "pcg64", raising=False)
+    monkeypatch.setattr(analysis, "_BATCH_VALUES", 3 * (N_LIST[-1] + 1))  # 24 blocks
+    for call in (lambda: generate_path([mix_seed(7, k) for k in range(N_PATHS)], 1.0, 16),
+                 lambda: convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7),
+                 lambda: analysis.local_error_study(P, [0.5, 0.25], 10, 7)):
+        built.clear()
+        call()
+        assert len(built) <= 1

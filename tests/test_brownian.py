@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from qpisde import InvalidInputError, coarsen, generate_path, mix_seed
-from qpisde.brownian import _standard_normal
+from qpisde.brownian import _pcg64_states, _raw_words, _standard_normal
 
 
 def path_from_increments(increments):
@@ -154,3 +154,40 @@ def test_generate_path_equals_documented_method(seeds, n, t_end):
     w = generate_path(seeds, t_end, n)
     for row, s in zip(w, seeds, strict=True):
         assert np.array_equal(row.view(np.uint64), documented_path(s, t_end, n).view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [None, True, False, -1, 2**64, 1.5, "3", np.float64(2.0),
+                                  np.bool_(True), [1, -1]],
+                         ids=["none", "true", "false", "negative", "2^64", "float", "str",
+                              "numpy-float", "numpy-bool", "bad-in-list"])
+def test_seed_must_be_an_integer_below_2_64(seed):
+    with pytest.raises(InvalidInputError, match="seed must be an integer in") as err:
+        generate_path(seed, 1.0, 4)
+    assert repr(seed if np.ndim(seed) == 0 else seed[-1]) in str(err.value)
+
+
+def test_seed_may_be_a_numpy_integer():
+    for numpy_seed, seed in ((np.uint64(2**64 - 1), 2**64 - 1), (np.int8(3), 3), (np.uint32(7), 7)):
+        assert np.array_equal(generate_path(numpy_seed, 1.0, 8), generate_path(seed, 1.0, 8))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def assert_states_and_draws_match(seeds):
+    assert _pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+    for s, words in zip(seeds, _raw_words(seeds, 64), strict=True):
+        assert np.array_equal(words, np.random.PCG64(s).random_raw(64))
+
+
+def test_batched_pcg64_states_at_word_edges():
+    # one and two uint32 words, the top bit of each, and a batch of one seed
+    assert_states_and_draws_match(EDGE_SEEDS)
+    for s in EDGE_SEEDS:
+        assert_states_and_draws_match([s])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+def test_batched_pcg64_states_equal_seeded_bit_generators(seeds):
+    assert_states_and_draws_match(seeds)

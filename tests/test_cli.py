@@ -436,6 +436,9 @@ class TestWorkSize:
     OVERSIZE = [
         (["converge", "--n-list", "1e30", "--paths", "1"], "--n-list"),
         (["converge", "--paths", str(10**13)], "--paths"),
+        # counts beyond the float range
+        (["converge", "--n-list", "2,4", "--n-list", "1e308"], "--n-list"),
+        (["converge", "--paths", "9" * 400], "--paths"),
         (["stability", "--grid", str(10**9)], "--grid"),
         (["simulate", "--n", str(10**11)], "--n"),
         (["simulate", "--paths", str(10**11)], "--paths"),
@@ -462,8 +465,8 @@ class TestWorkSize:
         (["simulate", "--paths", "3", "--n", "4"], 3 * 5),
         (["stability", "--grid", "3"], 3 * 3),
         (["local-error", "--samples", "10", "--dt-list", "0.5,0.25"], 2 * 10),
-        # the path block is counted as _BATCH_VALUES; 3 norms per path and table row
-        (["converge", "--paths", "2", "--n-list", "4,16"], _csvtext._BATCH_VALUES + 3 * 2 * 3 * 2),
+        # the workspace, 4 arrays of one 2-path block of 17 nodes; 3 norms per path and table row
+        (["converge", "--paths", "2", "--n-list", "4,16"], 4 * 2 * 17 + 3 * 2 * 3 * 2),
     ], ids=["simulate", "stability", "local-error", "converge"])
     def test_each_command_counts_its_values(self, argv, values, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_VALUES", values)
