@@ -15,7 +15,7 @@ error differences between resolutions are purely discretization effects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +58,11 @@ class ErrorReport:
     n_paths: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceTable:
-    """Error reports over a refinement ladder, one per (scheme, step count)."""
+    """Error reports over a refinement ladder, one per (scheme, step count), fixed when built."""
 
-    rows: list[ErrorReport] = field(default_factory=list)
+    rows: tuple[ErrorReport, ...]
 
     def to_csv(self) -> list[bytes]:
         lines = [f"{r.scheme.value},{r.n_steps},{r.l1:.17g},{r.l2:.17g},{r.linf:.17g},{r.n_paths}"
@@ -123,12 +123,9 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
             for s in schemes:
                 integrate(s, params, t_end, w, out=approx, scratch=scratch)
                 norms[(s, n)][:, start:start + rows] = error_norms(exact, approx, scratch=scratch)
-    table = ConvergenceTable()
-    for (s, n), v in norms.items():
-        # the mean adds the paths in order, so it does not depend on the block size
-        l1, l2, linf = np.add.accumulate(v, axis=1)[:, -1] / n_paths
-        table.rows.append(ErrorReport(s, n, l1, l2, linf, n_paths))
-    return table
+    # the mean adds the paths in order, so it does not depend on the block size
+    return ConvergenceTable(tuple(ErrorReport(s, n, *np.add.accumulate(v, axis=1)[:, -1] / n_paths, n_paths)
+                                  for (s, n), v in norms.items()))
 
 
 @dataclass(frozen=True)

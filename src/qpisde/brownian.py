@@ -17,7 +17,7 @@ a master seed and the path index with a splitmix64 mix.
 
 A seed is an integer in [0, 2^64). The PCG64 states of a batch of seeds are
 computed in one numpy pass and equal np.random.PCG64(s).state (see
-_pcg64_states); each is set on one reused bit generator before its draw.
+_pcg64_states); each is set on the thread's reused PCG64 before its draw.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .errors import InvalidInputError
 from .model import _step_size
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# numpy's SeedSequence: hash keys and multipliers of its pool and its output, mix multipliers
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+# numpy's SeedSequence: the running hash keys init * mult^i mod 2^32 of its pool (i <= 16)
+# and of its output (i <= 8), as uint32 columns, and its mix multipliers
+_POOL_KEYS, _OUT_KEYS = (np.array([init * mult**i & _MASK32 for i in range(count)], np.uint32)[:, None]
+                         for init, mult, count in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _reused = threading.local()  # one PCG64 per thread; every draw sets its state first
@@ -57,38 +59,31 @@ def _pcg64_states(seeds) -> list[dict]:
     of 4 words, the pool is mixed, and 8 words drawn from it give PCG64's
     128-bit init and seq. A seed below 2^64 has one or two words, and a
     missing high word hashes as the 0 it is padded with, so every seed takes
-    the same steps, done here once for all seeds as (low, high) words. The
-    hash runs on arrays, as a numpy uint32 scalar warns on overflow. PCG64's
-    set-seed step, state = ((inc + init) * M + inc) mod 2^128 with inc =
-    2 seq + 1, runs on Python ints.
+    the same steps, done here once for all seeds as (low, high) words with
+    the hash keys built at import. The hash runs on arrays, as a numpy
+    uint32 scalar warns on overflow. PCG64's set-seed step, state = ((inc +
+    init) * M + inc) mod 2^128 with inc = 2 seq + 1, runs on Python ints.
     """
     for s in seeds:
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK64:
             raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {s!r}")
     seeds = np.array(seeds, dtype=np.uint64)
 
-    def keys(key, mult, count):  # SeedSequence's running hash key: key, key*mult, ...
-        out = [key]
-        for _ in range(count):
-            out.append(out[-1] * mult & _MASK32)
-        return np.array(out, dtype=np.uint32)[:, None]
-
     def hashmix(values, key):  # row i of values is hashed with key[i] and key[i + 1]
         values = values ^ key[:-1]
         values *= key[1:]
         return values ^ values >> np.uint32(16)
 
-    key = keys(_INIT_A, _MULT_A, 16)
     zero = np.zeros(seeds.shape, np.uint32)
     pool = hashmix(np.stack([seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32),
-                             zero, zero]), key[:5])
+                             zero, zero]), _POOL_KEYS[:5])
     for i in range(4):  # pool word i mixed into the other three, with keys 4 + 3i to 7 + 3i
         others = [j for j in range(4) if j != i]
-        hashed = hashmix(pool[i], key[4 + 3 * i:8 + 3 * i])
+        hashed = hashmix(pool[i], _POOL_KEYS[4 + 3 * i:8 + 3 * i])
         mixed = pool[others] * np.uint32(_MIX_L) - hashed * np.uint32(_MIX_R)
         pool[others] = mixed ^ mixed >> np.uint32(16)
     # 8 words hashed from the pool, cycled twice, make the uint64 words of init and seq
-    words = hashmix(np.concatenate((pool, pool)), keys(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    words = hashmix(np.concatenate((pool, pool)), _OUT_KEYS).astype(np.uint64)
     states = []
     for a, b, c, d in (words[1::2] << np.uint64(32) | words[0::2]).T.tolist():
         inc = ((c << 64 | d) << 1 | 1) & _MASK128

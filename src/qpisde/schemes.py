@@ -58,6 +58,13 @@ def _iem_singular(h):
     return 1.0 - h == 0.0
 
 
+def _mu_dt(mu, dt):
+    """h = mu*dt, after checking that every dt is finite and > 0."""
+    if not (np.isfinite(dt) & np.greater(dt, 0)).all():
+        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
+    return np.asarray(mu, dtype=float) * dt
+
+
 def _qpi_denominators(h):
     """Block denominators D = 1 - h + h^2/3 and E = 1 - h/3; raises SingularStepError where E = 0."""
     if np.any(_qpi_singular(h)):
@@ -103,9 +110,7 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
 
     Kept independent of the closed form; used to cross-check it in tests.
     """
-    if not (dt > 0 and np.isfinite(dt)):
-        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
-    h = params.mu * dt
+    h = float(_mu_dt(params.mu, dt))
     s = params.sigma
     _qpi_denominators(h)  # singularity guard only; the solve below is independent
     m = np.array([[1.0 - 2.0 * h / 3.0, h / 12.0],
@@ -116,16 +121,12 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
     return QpiBlockCoeffs(alpha=float(alpha), beta=float(beta))
 
 
-def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, out=None):
-    """Per-step multipliers of a one-step scheme for the increments dW.
+def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, out):
+    """Per-step multipliers of a one-step scheme for the increments dW, written to out.
 
-    They go to out if given, and milstein's work overwrites dW then; without
-    out the call allocates them and leaves dW as it was.
+    Milstein's work overwrites dW.
     """
     mu, sigma = params.mu, params.sigma
-    if out is None:
-        dW = np.array(dW, dtype=float)
-        out = np.empty_like(dW)
     if scheme is SchemeId.EULER_MARUYAMA:  # 1 + mu dt + sigma dW
         np.multiply(sigma, dW, out=out)
         out += 1.0 + mu * dt

@@ -21,20 +21,13 @@ import numpy as np
 
 from . import _csvtext
 from .errors import InvalidInputError, SingularStepError
-from .schemes import _iem_singular, _qpi_denominators, _qpi_singular
+from .schemes import _iem_singular, _mu_dt, _qpi_denominators, _qpi_singular
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
 
 
 def _value(out):  # a 0-d result as a float, any other as the array
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _mu_dt(mu, dt):
-    """h = mu*dt, after checking that every dt is finite and > 0."""
-    if not np.all(np.isfinite(dt) & np.greater(dt, 0)):
-        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
-    return np.asarray(mu, dtype=float) * dt
 
 
 def qpi_paper_lhs(mu: float, sigma: float, dt: float):

@@ -4,6 +4,9 @@ trajectory must be exactly linear in x0, the closed-form block must agree
 with the linear-solve oracle, and a convergence study must not depend on how
 its paths are split into blocks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,3 +159,23 @@ def test_one_bit_generator_per_call(monkeypatch):
         built.clear()
         call()
         assert len(built) <= 1
+
+
+def test_draws_are_thread_safe():
+    # each thread sets its path states on its own PCG64: with one shared
+    # generator, a switch between setting a state and drawing from it hands a
+    # row another path's words
+    blocks = [[mix_seed(master, k) for k in range(63)] for master in (11, 12)]
+    expected = [generate_path(seeds, 1.0, 32) for seeds in blocks]
+
+    def draw_many(seeds):
+        return [generate_path(seeds, 1.0, 32) for _ in range(20)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            drawn = list(pool.map(draw_many, blocks))
+    finally:
+        sys.setswitchinterval(interval)
+    for paths, reference in zip(drawn, expected):
+        assert all(np.array_equal(w, reference) for w in paths)

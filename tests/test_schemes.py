@@ -212,11 +212,14 @@ class TestIntegrate:
         assert np.all(traj == 2.5)
 
     def test_qpi_close_to_exact_on_default_seed(self):
+        # a property of the paths, not of one lucky path: the median sup error
+        # over 1000 paths is ~1.0e-2; a block drift weight of h instead of 4h/3
+        # gives ~7.5e-2, and dropping sigma*dWb from beta ~0.21
         p = GbmParams(mu=-1.0, sigma=0.5)
-        path = generate_path(mix_seed(85, 0), 1.0, 256)
-        exact = exact_solution(p, 1.0, path)
-        approx = integrate(SchemeId.QPI, p, 1.0, path)
-        assert np.max(np.abs(exact - approx)) < 5e-3
+        paths = generate_path([mix_seed(85, k) for k in range(1000)], 1.0, 256)
+        exact = exact_solution(p, 1.0, paths)
+        approx = integrate(SchemeId.QPI, p, 1.0, paths)
+        assert np.median(np.max(np.abs(exact - approx), axis=-1)) < 1.5e-2
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_linearity_in_x0(self, scheme):
