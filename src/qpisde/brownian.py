@@ -40,13 +40,19 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multipli
 _reused = threading.local()  # one PCG64 per thread; every draw sets its state first
 
 
+def _seed(s) -> int:  # s as a Python int, if it is an int in [0, 2^64), Python or numpy, not a bool
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK64:
+        raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {s!r}")
+    return int(s)
+
+
 def mix_seed(master_seed: int, index: int) -> int:
     """Derive an independent 64-bit stream seed from (master_seed, index).
 
-    splitmix64 finalizer applied to master_seed advanced by index+1 gamma
-    steps; distinct indices give well-separated streams.
+    splitmix64 finalizer applied to master_seed, a seed, advanced by index+1
+    gamma steps; distinct indices give well-separated streams.
     """
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (_seed(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -64,10 +70,7 @@ def _pcg64_states(seeds) -> list[dict]:
     uint32 scalar warns on overflow. PCG64's set-seed step, state = ((inc +
     init) * M + inc) mod 2^128 with inc = 2 seq + 1, runs on Python ints.
     """
-    for s in seeds:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK64:
-            raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {s!r}")
-    seeds = np.array(seeds, dtype=np.uint64)
+    seeds = np.array([_seed(s) for s in seeds], dtype=np.uint64)
 
     def hashmix(values, key):  # row i of values is hashed with key[i] and key[i + 1]
         values = values ^ key[:-1]

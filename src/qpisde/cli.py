@@ -9,13 +9,13 @@ Subcommands:
 Every subcommand is deterministic for fixed flags and seed. Flags override
 an optional `key=value` config file (--config), which overrides built-in
 defaults; the defaults mirror the reference experiment settings
-(mu=-1, sigma=0.5, x0=1, T=1). Config keys are the subcommand's long flag
-names. A key the subcommand does not have is an error naming the file and
-the key; every other line is spliced into argv as `--key=value` right after
-the subcommand word, so argparse checks it as the flag and reports a bad
-value in one line naming the flag, e.g. `argument --format: invalid choice:
-'png'`. Each flag's argparse type checks its value, so a bad list
-item (an empty one too), range, count or seed fails the same way. `stability`
+(mu=-1, sigma=0.5, x0=1, T=1). A config key is a long flag name of the
+subcommand, or an error naming the file and the key; each line is spliced
+into argv as `--key=value` right after the subcommand word. argparse alone
+reads argv: a word starting -digit, -.digit, -inf or -nan is a value, after
+any flag (-o too). A flag's type or choices check its value, so a bad value
+fails in one line naming the flag, e.g. `argument --format: invalid choice:
+'png'`; the library checks --scheme and --schemes before any draw. `stability`
 takes --sigma but not --mu or --x0, and accepts --seed without using it.
 
 A command whose main arrays would hold more than MAX_VALUES float64 values
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -191,6 +192,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        # private argparse attribute, read by _parse_optional: -digit, -.digit, -inf, -nan start a value
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message, status=2):  # an argv word or a path may hold a newline
         self.exit(status, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
@@ -258,32 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_negative_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return token.startswith("-")
-
-
-def _join_dash_values(argv: list[str]) -> list[str]:
-    """Join `--mu -1e-3` into `--mu=-1e-3` and `--mu-range -4:1` into
-    `--mu-range=-4:1`. argparse reads any token that starts with '-' as an
-    option unless it is a plain negative number (no exponent, no range)."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
-                and (tok in ("--mu-range", "--dt-range") or _is_negative_number(argv[i + 1]))):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
     """argv with each config line spliced in as `--key=value` right after the
     subcommand word: argparse checks it as it checks the flag, and a flag on
@@ -300,7 +277,7 @@ def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _join_dash_values(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -39,7 +39,7 @@ def _step_size(t_end: float, n) -> float:
     """The step t_end / n of n uniform steps on [0, t_end]; the one check of t_end and N."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidInputError(f"t_end must be positive and finite, got {t_end}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInputError(f"the step count must be an integer >= 1, got {n!r}")
     return t_end / n
 

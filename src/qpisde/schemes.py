@@ -72,6 +72,13 @@ def _qpi_denominators(h):
     return 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
 
 
+def _iem_denominator(h):
+    """The drift-implicit EM divisor 1 - h; raises SingularStepError where it vanishes."""
+    if np.any(_iem_singular(h)):
+        raise SingularStepError(f"implicit EM step singular for mu*dt = {h}")
+    return 1.0 - h
+
+
 def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb, out=None):
     """Closed-form block multipliers (alpha, beta) for increments dWa, dWb (arrays or floats).
 
@@ -131,11 +138,9 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, ou
         np.multiply(sigma, dW, out=out)
         out += 1.0 + mu * dt
     elif scheme is SchemeId.IMPLICIT_EM:  # (1 + sigma dW) / (1 - mu dt)
-        if _iem_singular(mu * dt):
-            raise SingularStepError(f"implicit EM step singular: mu*dt = 1 (mu={mu}, dt={dt})")
         np.multiply(sigma, dW, out=out)
         out += 1.0
-        out /= 1.0 - mu * dt
+        out /= _iem_denominator(mu * dt)
     else:  # 1 + mu dt + sigma dW + (dW^2 - dt) sign sigma^2/2
         sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
         np.multiply(dW, dW, out=out)

@@ -20,8 +20,8 @@ from itertools import compress
 import numpy as np
 
 from . import _csvtext
-from .errors import InvalidInputError, SingularStepError
-from .schemes import _iem_singular, _mu_dt, _qpi_denominators, _qpi_singular
+from .errors import InvalidInputError
+from .schemes import _iem_denominator, _iem_singular, _mu_dt, _qpi_denominators, _qpi_singular
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
 
@@ -68,10 +68,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
 
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
-    h = _mu_dt(mu, dt)
-    if np.any(_iem_singular(h)):
-        raise SingularStepError("implicit EM amplification singular: mu*dt = 1")
-    num, den = 1.0 + sigma * sigma * dt, 1.0 - h
+    num, den = 1.0 + sigma * sigma * dt, _iem_denominator(_mu_dt(mu, dt))
     with np.errstate(over="ignore"):  # den^2 is inf for |1 - mu*dt| > ~1.3e154
         den2 = den * den
     return _value(np.where(np.isinf(den2), num / den / den, num / den2))

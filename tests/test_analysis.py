@@ -65,6 +65,15 @@ class TestConvergenceStudy:
         assert lines[0] == "scheme,n,l1,l2,linf,n_paths"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, False])
+    def test_master_seed_is_a_seed(self, master_seed):
+        # -1 does not stand for 2^64 - 1
+        p = GbmParams(mu=-1.0, sigma=0.5)
+        with pytest.raises(InvalidInputError, match="seed must be an integer in"):
+            convergence_study(["qpi"], p, [2, 4], 3, master_seed)
+        with pytest.raises(InvalidInputError, match="seed must be an integer in"):
+            local_error_study(p, [0.5, 0.25], 3, master_seed)
+
     def test_validation(self):
         p = GbmParams(mu=-1.0, sigma=0.5)
         with pytest.raises(InvalidInputError):

@@ -111,6 +111,18 @@ def test_mix_seed_streams():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+@pytest.mark.parametrize("master_seed", [-1, 2**64, True, 1.0, np.int64(-1)])
+def test_mix_seed_takes_a_seed(master_seed):
+    # the master seed has the path seed's contract: no wrap mod 2^64, no bool
+    with pytest.raises(InvalidInputError, match="seed must be an integer in"):
+        mix_seed(master_seed, 0)
+
+
+def test_mix_seed_takes_a_numpy_master_seed():
+    for numpy_seed, seed in ((np.uint64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1), (np.int32(7), 7)):
+        assert [mix_seed(numpy_seed, k) for k in range(3)] == [mix_seed(seed, k) for k in range(3)]
+
+
 def test_mix_seed_paths_independent():
     a = generate_path(mix_seed(0, 0), 1.0, 1000)
     b = generate_path(mix_seed(0, 1), 1.0, 1000)

@@ -355,13 +355,30 @@ class TestInputContract:
         (["local-error", "--mu", "-2E0", "--dt-list", "0.5,0.25", "--samples", "10"],
          ["local-error", "--mu=-2E0", "--dt-list", "0.5,0.25", "--samples", "10"]),
         (["simulate", "--n", "2", "--output", "-"], ["simulate", "--n", "2"]),
-    ], ids=["mu-exponent", "x0-exponent", "local-error-mu", "output-dash"])
+        (["simulate", "--mu", "-.5", "--n", "2"], ["simulate", "--mu=-.5", "--n", "2"]),
+        (["simulate", "--x0", "-1_0", "--n", "2"], ["simulate", "--x0=-1_0", "--n", "2"]),
+        (["stability", "--mu-range", "-4:1", "--grid", "3"], ["stability", "--mu-range=-4:1", "--grid", "3"]),
+    ], ids=["mu-exponent", "x0-exponent", "local-error-mu", "output-dash", "mu-leading-dot",
+            "x0-underscore", "mu-range"])
     def test_negative_value_after_flag(self, spaced, joined, capsys):
-        # argparse takes "-1e-3" for an option: only plain negatives like -3 pass unjoined
+        # a word that starts -digit, -.digit, -inf or -nan is a value, not an option
         assert main(joined) == 0
         expected = capsys.readouterr().out
         assert main(spaced) == 0
         assert capsys.readouterr().out == expected
+
+    def test_negative_looking_output_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--n", "2", "--output=-1.csv"]) == 0
+        expected = (tmp_path / "-1.csv").read_bytes()
+        (tmp_path / "-1.csv").unlink()
+        assert main(["simulate", "--n", "2", "-o", "-1.csv"]) == 0
+        assert (tmp_path / "-1.csv").read_bytes() == expected
+
+    def test_malformed_negative_value_names_its_flag(self, capsys):
+        assert exit_code(["simulate", "--mu", "-1abc", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "qpisde simulate: error: argument --mu: invalid float value: '-1abc'\n"
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--mu", "1e308", "--n", "4"],

@@ -66,7 +66,7 @@ def test_param_validation():
             integrate(SchemeId.EULER_MARUYAMA, p, 1.0, w)
 
 
-@pytest.mark.parametrize("n_steps", [2.5, 4.0, "4", None])
+@pytest.mark.parametrize("n_steps", [2.5, 4.0, "4", None, True])
 def test_grid_rejects_non_integer_steps(n_steps):
     with pytest.raises(InvalidInputError, match="integer"):
         generate_path(1, 1.0, n_steps)

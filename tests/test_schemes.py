@@ -85,7 +85,7 @@ class TestSteps:
         assert one_step(IEM, GbmParams(mu=-1.0, sigma=0.0), 1.0, 4.0, 0.0) == 2.0
 
     def test_iem_singular(self):
-        with pytest.raises(SingularStepError):
+        with pytest.raises(SingularStepError, match=r"implicit EM step singular for mu\*dt = 1"):
             one_step(IEM, GbmParams(mu=2.0, sigma=0.5), 0.5, 1.0, 0.0)
 
     def test_milstein_standard(self):

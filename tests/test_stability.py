@@ -119,7 +119,7 @@ class TestReferenceAmplifications:
         assert iem_amplification(-2.0, 0.0, 0.3) < 1.0
 
     def test_iem_singular(self):
-        with pytest.raises(SingularStepError):
+        with pytest.raises(SingularStepError, match=r"implicit EM step singular for mu\*dt = 1"):
             iem_amplification(2.0, 0.5, 0.5)
 
     def test_iem_squared_denominator_overflow(self):
