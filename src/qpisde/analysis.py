@@ -22,7 +22,7 @@ import numpy as np
 from ._csvtext import _BATCH_VALUES
 from .brownian import _raw_words, _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
-from .model import GbmParams, exact_solution
+from .model import GbmParams, _count, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 def error_norms(exact, approx, scratch=None):
@@ -70,14 +70,27 @@ class ConvergenceTable:
         return ["\n".join(["scheme,n,l1,l2,linf,n_paths", *lines, ""]).encode("ascii")]
 
 
-def _workspace_shape(n_max: int, n_paths: int) -> tuple[int, int, int]:
-    """A convergence study's workspace: the fine path block, the exact and
-    approximate trajectories and a scratch array, each of block rows by n_max + 1.
+def _workspace(n_list, n_paths):
+    """A convergence study's ladder and path count, checked, and the shapes of its arrays.
 
-    A block holds _BATCH_VALUES values, or one path if that is more, and at
-    most n_paths paths.
+    n_list must be strictly ascending counts that each divide its last, n_max.
+    The first array is the workspace: the fine path block, the exact and
+    approximate trajectories and a scratch array, each of block rows by
+    n_max + 1, where a block holds _BATCH_VALUES values, or one path if that
+    is more, and at most n_paths paths. Then each coarser grid n has a buffer
+    for the coarsened rows of whole blocks: as many blocks as a workspace
+    array holds at n + 1 nodes, but no more than the study draws.
     """
-    return 4, min(max(1, _BATCH_VALUES // (n_max + 1)), n_paths), n_max + 1
+    n_list = [_count(n, "every n in n_list") for n in n_list]
+    if not n_list or sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
+        raise InvalidInputError("n_list must be strictly ascending and nonempty")
+    n_max, n_paths = n_list[-1], _count(n_paths, "n_paths")
+    for n in n_list:
+        if n_max % n != 0:
+            raise InvalidInputError(f"every n in n_list must divide max(n_list); got {n} for {n_max}")
+    block = min(max(1, _BATCH_VALUES // (n_max + 1)), n_paths)
+    buffers = [(block * min((n_max + 1) // (n + 1), -(-n_paths // block)), n + 1) for n in n_list[:-1]]
+    return n_list, n_paths, [(4, block, n_max + 1), *buffers]
 
 
 def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
@@ -85,44 +98,36 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     """Mean strong-error table over shared Brownian paths.
 
     For each block of paths: draw one fine path per row at max(n_list)
-    resolution, coarsen the block to every requested N, integrate every
-    scheme, and measure the norms against the pathwise exact solution on the
-    same Wiener values. Rows hold the mean of each norm over the paths. All
-    blocks and grids share one workspace, allocated once.
+    resolution, integrate every scheme on it and measure the norms against
+    the pathwise exact solution on the same Wiener values; then coarsen the
+    block into each coarser grid's buffer, whose kernels run once it is full
+    or holds the last path. Rows hold the mean of each norm over the paths.
+    The arrays of _workspace are allocated once.
     """
     schemes = [SchemeId.parse(s) for s in schemes]
     if len(set(schemes)) != len(schemes):
         raise InvalidInputError(f"schemes must not repeat, got {', '.join(s.value for s in schemes)}")
-    n_list = list(n_list)
-    if not all(isinstance(n, (int, np.integer)) for n in n_list):
-        raise InvalidInputError(f"every n in n_list must be an integer, got {n_list}")
-    n_list = [int(n) for n in n_list]
-    if not n_list or sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
-        raise InvalidInputError("n_list must be strictly ascending and nonempty")
+    n_list, n_paths, shapes = _workspace(n_list, n_paths)
     n_max = n_list[-1]
-    for n in n_list:
-        if n < 1 or n_max % n != 0:
-            raise InvalidInputError(f"every n in n_list must be >= 1 and divide max(n_list); got {n} for {n_max}")
-    if n_paths < 1:
-        raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
-
     norms = {(s, n): np.empty((3, n_paths)) for s in schemes for n in n_list}
-    work = np.empty(_workspace_shape(n_max, n_paths))
-    block = work.shape[1]
-    for start in range(0, n_paths, block):
-        rows = min(block, n_paths - start)
+    work, *buffers = map(np.empty, shapes)
 
-        def views(n):  # the workspace's four arrays as (rows, n + 1)
-            return [a.reshape(-1)[:rows * (n + 1)].reshape(rows, n + 1) for a in work]
-        fine = generate_path([mix_seed(master_seed, k) for k in range(start, start + rows)],
-                             t_end, n_max, out=views(n_max)[0])
-        for n in n_list:
-            w = coarsen(fine, n_max // n)
-            _, exact, approx, scratch = views(n)
-            exact_solution(params, t_end, w, out=exact)
-            for s in schemes:
-                integrate(s, params, t_end, w, out=approx, scratch=scratch)
-                norms[(s, n)][:, start:start + rows] = error_norms(exact, approx, scratch=scratch)
+    def run(n, w, first):  # every kernel on grid n for the paths first, first + 1, ... in w
+        exact, approx, scratch = (a.reshape(-1)[:w.size].reshape(w.shape) for a in work[1:])
+        exact_solution(params, t_end, w, out=exact)
+        for s in schemes:
+            integrate(s, params, t_end, w, out=approx, scratch=scratch)
+            norms[(s, n)][:, first:first + len(w)] = error_norms(exact, approx, scratch=scratch)
+    for start in range(0, n_paths, work.shape[1]):
+        stop = min(start + work.shape[1], n_paths)
+        fine = generate_path(mix_seed(master_seed, np.arange(start, stop)), t_end, n_max,
+                             out=work[0, :stop - start])
+        run(n_max, fine, start)
+        for n, buffer in zip(n_list, buffers):
+            first = start - start % len(buffer)  # a buffer holds whole blocks
+            buffer[start - first:stop - first] = coarsen(fine, n_max // n)
+            if stop - first == len(buffer) or stop == n_paths:
+                run(n, buffer[:stop - first], first)
     # the mean adds the paths in order, so it does not depend on the block size
     return ConvergenceTable(tuple(ErrorReport(s, n, *np.add.accumulate(v, axis=1)[:, -1] / n_paths, n_paths)
                                   for (s, n), v in norms.items()))
@@ -162,11 +167,10 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
             f"dt_list must be strictly descending finite positive values, got {dts.tolist()}")
     if dts.size < 2:
         raise InvalidInputError(f"dt_list needs at least 2 values to fit a slope, got {dts.tolist()}")
-    if n_paths < 1:
-        raise InvalidInputError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _count(n_paths, "n_paths")
     mean_sq = np.empty_like(dts)
     mu, sigma, x0 = params.mu, params.sigma, params.x0
-    words = _raw_words([mix_seed(master_seed, k) for k in range(dts.size)], 2 * n_paths)
+    words = _raw_words(mix_seed(master_seed, np.arange(dts.size)), 2 * n_paths)
     for k, (dt, raw) in enumerate(zip(dts, words)):
         z = _standard_normal(raw)
         z *= math.sqrt(dt)

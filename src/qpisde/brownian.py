@@ -40,22 +40,29 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multipli
 _reused = threading.local()  # one PCG64 per thread; every draw sets its state first
 
 
-def _seed(s) -> int:  # s as a Python int, if it is an int in [0, 2^64), Python or numpy, not a bool
+def _seed(s, what="seed") -> int:  # s as a Python int: an int in [0, 2^64), Python or numpy, not a bool
     if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK64:
-        raise InvalidInputError(f"seed must be an integer in [0, 2^64), got {s!r}")
+        raise InvalidInputError(f"{what} must be an integer in [0, 2^64), got {s!r}")
     return int(s)
 
 
-def mix_seed(master_seed: int, index: int) -> int:
+def mix_seed(master_seed: int, index):
     """Derive an independent 64-bit stream seed from (master_seed, index).
 
     splitmix64 finalizer applied to master_seed, a seed, advanced by index+1
-    gamma steps; distinct indices give well-separated streams.
+    gamma steps; distinct indices give well-separated streams. An index has a
+    seed's contract; a numpy integer array of them gives a uint64 array of
+    seeds. Even one index is mixed as an array: arrays wrap mod 2^64 silently.
     """
-    z = (_seed(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    master = _seed(master_seed)
+    if np.ndim(index) == 0:
+        return int(mix_seed(master, np.array([_seed(index, "index")], np.uint64))[0])
+    if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu" or index.size and index.min() < 0:
+        raise InvalidInputError("indices must be a numpy array of integers, none negative")
+    z = (index.astype(np.uint64) + 1) * 0x9E3779B97F4A7C15 + master
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ z >> shift) * mult
+    return z ^ z >> 31
 
 
 def _pcg64_states(seeds) -> list[dict]:
@@ -70,7 +77,8 @@ def _pcg64_states(seeds) -> list[dict]:
     uint32 scalar warns on overflow. PCG64's set-seed step, state = ((inc +
     init) * M + inc) mod 2^128 with inc = 2 seq + 1, runs on Python ints.
     """
-    seeds = np.array([_seed(s) for s in seeds], dtype=np.uint64)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        seeds = np.array([_seed(s) for s in seeds], dtype=np.uint64)  # a uint64 array needs no check
 
     def hashmix(values, key):  # row i of values is hashed with key[i] and key[i + 1]
         values = values ^ key[:-1]
@@ -134,12 +142,12 @@ def generate_path(seed, t_end: float, n_fine: int, out=None) -> np.ndarray:
     One seed gives the n_fine+1 node values W(t_i), starting at W(0) = 0; a
     sequence of seeds gives one such row per seed. np.diff of the nodes gives
     the increments, each N(0, t_end/n_fine). A seed is an integer in
-    [0, 2^64), not a bool. The nodes go to out if it is given, a float64
-    array of the result's shape.
+    [0, 2^64), not a bool, as every entry of a 1-d uint64 array is. The nodes
+    go to out if it is given, a float64 array of the result's shape.
     """
     scale = math.sqrt(_step_size(t_end, n_fine))
     single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
+    seeds = [seed] if single else seed
     words = _raw_words(seeds, n_fine)
     shape = (n_fine + 1,) if single else (len(seeds), n_fine + 1)
     w = np.empty(shape) if out is None else out

@@ -43,8 +43,8 @@ from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
-# its study's whole workspace. With temporaries and CSV text, peak RSS grew 10-13x the count
-# for stability, 5-7x for simulate and local-error, 1.5x for converge
+# its study's workspace and buffers. With temporaries and CSV text, peak RSS grew 10-13x the
+# count for stability, 5-7x for simulate and local-error, 1.1-1.5x for converge
 MAX_VALUES = 1 << 26
 
 
@@ -145,7 +145,7 @@ def cmd_simulate(args) -> None:
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
     scheme = SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
     _check_size(n_paths * (n + 1), "--paths and --n")
-    w = brownian.generate_path([brownian.mix_seed(seed, k) for k in range(n_paths)], t_end, n)
+    w = brownian.generate_path(brownian.mix_seed(seed, np.arange(n_paths)), t_end, n)
     approx = integrate(scheme, params, t_end, w)
     if n_paths == 1:
         header = "t,exact,approx"
@@ -161,9 +161,9 @@ def cmd_simulate(args) -> None:
 
 def cmd_converge(args) -> None:
     schemes = args.schemes.split(",")  # convergence_study parses the names
-    # the study's workspace and 3 norms per path for each table row; the
-    # study refuses an n below 1 before it allocates
-    workspace = math.prod(analysis._workspace_shape(max(1, *args.n_list), args.paths))
+    # the study's workspace and buffers, and 3 norms per path for each table row;
+    # the ladder is checked first, as a list that is no ladder has no buffers
+    workspace = sum(map(math.prod, analysis._workspace(args.n_list, args.paths)[2]))
     _check_size(workspace + 3 * args.paths * len(schemes) * len(args.n_list),
                 "--n-list, --paths and --schemes")
     table = analysis.convergence_study(schemes, _gbm_params(args), args.n_list,

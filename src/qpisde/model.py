@@ -35,13 +35,20 @@ class GbmParams:
             raise InvalidInputError(f"sigma must be >= 0, got {self.sigma}")
 
 
+def _count(n, what: str) -> int:
+    """n as a Python int, if it is an int >= 1, Python or numpy, not a bool; what names it."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidInputError(f"{what} must be >= 1, got {n!r}")
+    return int(n)
+
+
 def _step_size(t_end: float, n) -> float:
     """The step t_end / n of n uniform steps on [0, t_end]; the one check of t_end and N."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise InvalidInputError(f"t_end must be positive and finite, got {t_end}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInputError(f"the step count must be an integer >= 1, got {n!r}")
-    return t_end / n
+    return t_end / _count(n, "the step count")
 
 
 def exact_solution(params: GbmParams, t_end: float, w, out=None) -> np.ndarray:

@@ -91,6 +91,23 @@ class TestConvergenceStudy:
             with pytest.raises(InvalidInputError, match="repeat"):
                 convergence_study(schemes, p, [4, 16], 2, 0)
 
+    @pytest.mark.parametrize("n_list", [[True, 2], [1, True]], ids=["true-first", "true-last"])
+    def test_every_n_is_an_integer_not_a_bool(self, n_list):
+        # [True, 2] once wrote a row for n = 1
+        with pytest.raises(InvalidInputError, match="every n in n_list must be an integer"):
+            convergence_study(["iem"], GbmParams(mu=-1.0, sigma=0.5), n_list, 3, 5)
+
+    @pytest.mark.parametrize("n_paths", [True, False, 3.0, np.float64(3), "3", None],
+                             ids=["true", "false", "float", "numpy-float", "str", "none"])
+    def test_n_paths_is_an_integer_not_a_bool(self, n_paths):
+        with pytest.raises(InvalidInputError, match="n_paths must be an integer"):
+            convergence_study(["iem"], GbmParams(mu=-1.0, sigma=0.5), [2, 4], n_paths, 5)
+
+    def test_n_paths_may_be_a_numpy_integer(self):
+        p = GbmParams(mu=-1.0, sigma=0.5)
+        assert (convergence_study(["iem"], p, [2, 4], np.int64(3), 5).rows
+                == convergence_study(["iem"], p, [2, 4], 3, 5).rows)
+
     def test_em_allows_odd_n(self):
         p = GbmParams(mu=-1.0, sigma=0.5)
         table = convergence_study(["em"], p, [3, 9], 2, 1)
@@ -138,6 +155,13 @@ class TestLocalErrorStudy:
     def test_no_paths(self):
         with pytest.raises(InvalidInputError, match="n_paths must be >= 1, got 0"):
             local_error_study(self.P, [0.1, 0.05], 0, 0)
+
+    @pytest.mark.parametrize("n_paths", [True, 3.0, np.float64(3), None],
+                             ids=["true", "float", "numpy-float", "none"])
+    def test_n_paths_is_an_integer_not_a_bool(self, n_paths):
+        # True once ran one path
+        with pytest.raises(InvalidInputError, match="n_paths must be an integer"):
+            local_error_study(self.P, [0.5, 0.25], n_paths, 3)
 
     @pytest.mark.parametrize("mean_sq", [[1e-3, 0.0], [1e-3, -1e-4]])
     def test_slope_needs_positive_errors(self, mean_sq):

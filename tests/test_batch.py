@@ -131,8 +131,12 @@ def per_path_table(seed):
     return {key: tuple(v / N_PATHS) for key, v in acc.items()}
 
 
-@pytest.mark.parametrize("batch_values", [1, 3 * (N_LIST[-1] + 1), analysis._BATCH_VALUES],
-                         ids=["one-row", "three-rows", "default"])
+# blocks of 4 rows: the fine grid's last block holds 2 paths, the n = 64 buffer
+# (60 rows) ends with 10 and the n = 4 buffer (72 rows) is never full, so no
+# buffer's size divides N_PATHS
+@pytest.mark.parametrize("batch_values", [1, 3 * (N_LIST[-1] + 1), 4 * (N_LIST[-1] + 1),
+                                          analysis._BATCH_VALUES],
+                         ids=["one-row", "three-rows", "four-rows", "default"])
 def test_convergence_table_independent_of_block_size(batch_values, monkeypatch):
     reference = convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7)
     monkeypatch.setattr(analysis, "_BATCH_VALUES", batch_values)
@@ -140,6 +144,22 @@ def test_convergence_table_independent_of_block_size(batch_values, monkeypatch):
     assert table.to_csv() == reference.to_csv()
     expected = per_path_table(7)
     assert {(r.scheme.value, r.n_steps): (r.l1, r.l2, r.linf) for r in table.rows} == expected
+
+
+def test_coarser_grids_run_on_buffers_of_whole_blocks(monkeypatch):
+    # the fine grid runs per block of 63 paths (63, then 7); each coarser grid
+    # collects both blocks in one buffer and runs once, on all 70 paths
+    calls = {"exact_solution": [], "integrate": [], "error_norms": []}
+    for name, shapes in calls.items():
+        def counting(*args, kernel=getattr(analysis, name), shapes=shapes, **kwargs):
+            shapes.append(np.shape(args[-1]))
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counting)
+    table = convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7)
+    assert calls["exact_solution"] == [(63, 1025), (7, 1025), (70, 5), (70, 65)]
+    assert calls["integrate"] == [shape for shape in calls["exact_solution"] for _ in SCHEMES]
+    assert calls["error_norms"] == calls["integrate"]  # 12 each, 18 with one call per block and grid
+    assert {(r.scheme.value, r.n_steps): (r.l1, r.l2, r.linf) for r in table.rows} == per_path_table(7)
 
 
 def test_one_bit_generator_per_call(monkeypatch):

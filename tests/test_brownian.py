@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
-from qpisde import InvalidInputError, coarsen, generate_path, mix_seed
+from qpisde import InvalidInputError, brownian, coarsen, generate_path, mix_seed
 from qpisde.brownian import _pcg64_states, _raw_words, _standard_normal
 
 
@@ -121,6 +122,62 @@ def test_mix_seed_takes_a_seed(master_seed):
 def test_mix_seed_takes_a_numpy_master_seed():
     for numpy_seed, seed in ((np.uint64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1), (np.int32(7), 7)):
         assert [mix_seed(numpy_seed, k) for k in range(3)] == [mix_seed(seed, k) for k in range(3)]
+
+
+def splitmix64(master, index):
+    """mix_seed's documented steps on Python ints, reduced mod 2^64 by hand."""
+    mask = 2**64 - 1
+    z = (master + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+INDICES = [0, 1, 2, 999, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize("master", [0, 85, 2**64 - 1])
+def test_mix_seed_equals_python_int_splitmix64(master):
+    expected = [splitmix64(master, k) for k in INDICES]
+    with warnings.catch_warnings():
+        # numpy scalars warn on overflow; the steps must wrap on arrays silently
+        warnings.simplefilter("error")
+        seeds = mix_seed(master, np.array(INDICES, dtype=np.uint64))
+        singles = [mix_seed(master, k) for k in INDICES]
+        signed = mix_seed(master, np.arange(6, dtype=np.int64).reshape(2, 3))
+    assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+    assert all(type(s) is int for s in singles) and singles == expected
+    assert signed.dtype == np.uint64 and signed.tolist() == [[splitmix64(master, k) for k in row]
+                                                             for row in ((0, 1, 2), (3, 4, 5))]
+    assert mix_seed(master, np.arange(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("index", [True, False, -1, 2**64, 2**70, 3.0, np.float64(1.0), "1", None,
+                                   np.bool_(True), np.array(3)],
+                         ids=["true", "false", "negative", "2^64", "2^70", "float", "numpy-float", "str",
+                              "none", "numpy-bool", "0-d-array"])
+def test_mix_seed_index_is_a_seed(index):
+    # True once mixed as 1, -1 was taken and 2^70 wrapped mod 2^64
+    with pytest.raises(InvalidInputError, match="index must be an integer in"):
+        mix_seed(0, index)
+
+
+@pytest.mark.parametrize("indices", [np.array([True, False]), np.array([0, -1]), np.array([0.0, 1.0]),
+                                     np.array(["1"]), [0, 1]],
+                         ids=["bool", "negative", "float", "str", "list"])
+def test_mix_seed_indices_are_a_numpy_integer_array(indices):
+    with pytest.raises(InvalidInputError, match="indices must be a numpy array of integers"):
+        mix_seed(0, indices)
+
+
+def test_generate_path_takes_a_uint64_seed_array(monkeypatch):
+    seeds = mix_seed(85, np.arange(5))
+    expected = generate_path(seeds.tolist(), 1.0, 16)
+
+    def unchecked(s, what="seed"):
+        raise AssertionError("a uint64 seed array is checked one seed at a time")
+    monkeypatch.setattr(brownian, "_seed", unchecked)
+    assert np.array_equal(generate_path(seeds, 1.0, 16), expected)
 
 
 def test_mix_seed_paths_independent():

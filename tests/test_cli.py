@@ -482,8 +482,9 @@ class TestWorkSize:
         (["simulate", "--paths", "3", "--n", "4"], 3 * 5),
         (["stability", "--grid", "3"], 3 * 3),
         (["local-error", "--samples", "10", "--dt-list", "0.5,0.25"], 2 * 10),
-        # the workspace, 4 arrays of one 2-path block of 17 nodes; 3 norms per path and table row
-        (["converge", "--paths", "2", "--n-list", "4,16"], 4 * 2 * 17 + 3 * 2 * 3 * 2),
+        # the workspace, 4 arrays of one 2-path block of 17 nodes; the n = 4 buffer, the 2
+        # paths of 5 nodes; 3 norms per path and table row
+        (["converge", "--paths", "2", "--n-list", "4,16"], 4 * 2 * 17 + 2 * 5 + 3 * 2 * 3 * 2),
     ], ids=["simulate", "stability", "local-error", "converge"])
     def test_each_command_counts_its_values(self, argv, values, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_VALUES", values)
@@ -491,6 +492,22 @@ class TestWorkSize:
         monkeypatch.setattr(cli, "MAX_VALUES", values - 1)
         assert exit_code(argv) == 2
         assert "limit" in capsys.readouterr().err
+
+    def test_converge_counts_its_buffers_before_it_draws(self, monkeypatch, capsys):
+        # the default ladder at 100 paths: blocks of 63, and each coarser grid's
+        # buffer holds both blocks, 126 rows
+        argv = ["converge", "--paths", "100", "-o", os.devnull]
+        n_list = [4, 16, 64, 256, 1024]
+        values = 4 * 63 * 1025 + sum(126 * (n + 1) for n in n_list[:-1]) + 3 * 100 * 3 * len(n_list)
+        drawn = []
+        generate_path = analysis.generate_path
+        monkeypatch.setattr(analysis, "generate_path",
+                            lambda *args, **kwargs: drawn.append(args) or generate_path(*args, **kwargs))
+        monkeypatch.setattr(cli, "MAX_VALUES", values - 1)
+        assert exit_code(argv) == 2 and not drawn
+        assert f"would hold {values:.3g} values" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "MAX_VALUES", values)
+        assert main(argv) == 0 and len(drawn) == 2
 
 
 class TestOutputRoutes:
