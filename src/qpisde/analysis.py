@@ -22,16 +22,16 @@ import numpy as np
 from ._csvtext import _BATCH_VALUES
 from .brownian import _raw_words, _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
-from .model import GbmParams, _count, exact_solution
+from .model import GbmParams, _buffer, _count, _front, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 def error_norms(exact, approx, scratch=None):
     """Discrete (l1, l2, linf) error norms along the last (node) axis.
 
     exact and approx hold trajectories on one grid, one row per path; each
-    norm has one value per row (a scalar for a single trajectory). scratch,
-    if given, is a float64 array of their shape that the call may overwrite;
-    otherwise it allocates one.
+    norm has one value per row (a scalar for a single trajectory). The call's
+    temporaries go to scratch if given, under the kernels' buffer rule
+    (model._buffer); scratch may be exact or approx itself.
     """
     exact, approx = np.asarray(exact, dtype=float), np.asarray(approx, dtype=float)
     if exact.shape != approx.shape or exact.ndim == 0:
@@ -39,7 +39,7 @@ def error_norms(exact, approx, scratch=None):
     n = exact.shape[-1] - 1
     if n < 1:
         raise InvalidInputError("trajectories must have at least two nodes")
-    e = np.subtract(exact, approx, out=scratch)
+    e = np.subtract(exact, approx, out=_buffer(scratch, exact.shape))
     np.abs(e, out=e)
     l1, linf = e.sum(axis=-1) / n, e.max(axis=-1)
     e *= e
@@ -113,7 +113,7 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     work, *buffers = map(np.empty, shapes)
 
     def run(n, w, first):  # every kernel on grid n for the paths first, first + 1, ... in w
-        exact, approx, scratch = (a.reshape(-1)[:w.size].reshape(w.shape) for a in work[1:])
+        exact, approx, scratch = (_front(a, w.shape) for a in work[1:])
         exact_solution(params, t_end, w, out=exact)
         for s in schemes:
             integrate(s, params, t_end, w, out=approx, scratch=scratch)

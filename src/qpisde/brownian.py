@@ -28,7 +28,7 @@ import threading
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import _step_size
+from .model import _buffer, _step_size
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # numpy's SeedSequence: the running hash keys init * mult^i mod 2^32 of its pool (i <= 16)
@@ -143,24 +143,19 @@ def generate_path(seed, t_end: float, n_fine: int, out=None) -> np.ndarray:
     sequence of seeds gives one such row per seed. np.diff of the nodes gives
     the increments, each N(0, t_end/n_fine). A seed is an integer in
     [0, 2^64), not a bool, as every entry of a 1-d uint64 array is. The nodes
-    go to out if it is given, a float64 array of the result's shape.
+    go to out if given, under the kernels' buffer rule (model._buffer).
     """
     scale = math.sqrt(_step_size(t_end, n_fine))
     single = np.ndim(seed) == 0
     seeds = [seed] if single else seed
     words = _raw_words(seeds, n_fine)
-    shape = (n_fine + 1,) if single else (len(seeds), n_fine + 1)
-    w = np.empty(shape) if out is None else out
-    if w.shape != shape or w.dtype != np.float64:
-        raise InvalidInputError(f"out must be a float64 array of shape {shape}, got {w.dtype} {w.shape}")
+    w = _buffer(out, (n_fine + 1,) if single else (len(seeds), n_fine + 1))
     rows = w[None] if single else w
     # raw words, normals, increments and nodes share w's memory in turn
-    raw = rows[:, 1:].view(np.uint64)
-    for row, row_words in zip(raw, words):
+    for row, row_words in zip(rows[:, 1:].view(np.uint64), words):
         row[:] = row_words
-    # elementwise over w's memory as one block if it is contiguous, the
-    # first node of each row included (it holds a stray word until zeroed)
-    z = _standard_normal(w.reshape(-1)[1:].view(np.uint64) if w.flags.c_contiguous else raw)
+    # elementwise over w's memory as one block, each row's first node included (a stray word until zeroed)
+    z = _standard_normal(w.reshape(-1)[1:].view(np.uint64))
     z *= scale
     rows[:, 0] = 0.0
     np.cumsum(rows[:, 1:], axis=-1, out=rows[:, 1:])

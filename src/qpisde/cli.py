@@ -136,12 +136,8 @@ def _write_output(path: str, chunks: list[bytes]) -> None:
             fh.writelines(chunks)
 
 
-def _gbm_params(args) -> GbmParams:
-    return GbmParams(mu=args.mu, sigma=args.sigma, x0=args.x0)
-
-
 def cmd_simulate(args) -> None:
-    params = _gbm_params(args)
+    params = GbmParams(args.mu, args.sigma, args.x0)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
     scheme = SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
     _check_size(n_paths * (n + 1), "--paths and --n")
@@ -166,7 +162,7 @@ def cmd_converge(args) -> None:
     workspace = sum(map(math.prod, analysis._workspace(args.n_list, args.paths)[2]))
     _check_size(workspace + 3 * args.paths * len(schemes) * len(args.n_list),
                 "--n-list, --paths and --schemes")
-    table = analysis.convergence_study(schemes, _gbm_params(args), args.n_list,
+    table = analysis.convergence_study(schemes, GbmParams(args.mu, args.sigma, args.x0), args.n_list,
                                        args.paths, args.seed, t_end=args.t_end)
     _require_finite([(r.l1, r.l2, r.linf) for r in table.rows], "error norm")
     _write_output(args.output, table.to_csv())
@@ -181,7 +177,8 @@ def cmd_stability(args) -> None:
 
 def cmd_local_error(args) -> None:
     _check_size(2 * args.samples, "--samples")
-    report = analysis.local_error_study(_gbm_params(args), args.dt_list, args.samples, args.seed)
+    report = analysis.local_error_study(GbmParams(args.mu, args.sigma, args.x0), args.dt_list,
+                                        args.samples, args.seed)
     _require_finite(report.mean_sq, "local error")
     _write_output(args.output, report.to_csv())
 

@@ -51,18 +51,34 @@ def _step_size(t_end: float, n) -> float:
     return t_end / _count(n, "the step count")
 
 
+def _buffer(a, shape, *apart) -> np.ndarray:
+    """The kernels' one rule for out= and scratch=: np.empty(shape) for None, else a itself if it is a
+    writeable C-contiguous float64 ndarray of exactly shape sharing no memory with the arrays in apart."""
+    if a is None:
+        return np.empty(shape)
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape and a.flags.writeable
+            and a.flags.c_contiguous and not any(np.may_share_memory(a, b) for b in apart)):
+        raise InvalidInputError(f"a kernel buffer must be a writeable C-contiguous float64 array of shape "
+                                f"{shape} apart from the inputs, got {getattr(a, 'dtype', type(a))} {np.shape(a)}")
+    return a
+
+
+def _front(a: np.ndarray, shape) -> np.ndarray:  # the first values of the C-contiguous a, viewed in shape
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def exact_solution(params: GbmParams, t_end: float, w, out=None) -> np.ndarray:
     """Evaluate x0 * exp((mu - sigma^2/2) t + sigma W(t)) at the nodes of [0, t_end].
 
     w holds the Wiener values at the N+1 uniform nodes on its last axis
     (W(0) = 0), one row per path, so the result is the pathwise exact solution
     driven by the same noise as a numerical trajectory. It goes to out if
-    given, as numpy's out=.
+    given, under the kernels' buffer rule (_buffer); out may be w itself.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     _step_size(t_end, n)
-    x = np.multiply(params.sigma, w, out=out)
+    x = np.multiply(params.sigma, w, out=_buffer(out, w.shape))
     # np.float64 ** gives inf on overflow where float ** raises
     x += np.linspace(0.0, t_end, n + 1) * (params.mu - 0.5 * np.float64(params.sigma)**2)
     np.exp(x, out=x)

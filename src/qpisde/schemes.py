@@ -16,13 +16,12 @@ eliminating the midpoint), with the diffusion term frozen at X_{2n}.
 from __future__ import annotations
 
 import enum
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, SingularStepError
-from .model import GbmParams, _step_size
+from .model import GbmParams, _buffer, _front, _step_size
 
 
 class SchemeId(enum.Enum):
@@ -48,14 +47,23 @@ class QpiBlockCoeffs(NamedTuple):
     beta: float
 
 
-def _qpi_singular(h):
-    """Where the block divisor E = 1 - h/3 vanishes (h = mu*dt); D = 1 - h + h^2/3 is >= 1/4."""
-    return 1.0 - h / 3.0 == 0.0
+def _qpi_divisor(h):
+    """The block divisor E = 1 - h/3 (h = mu*dt), the one that vanishes: D = 1 - h + h^2/3 is >= 1/4."""
+    return 1.0 - h / 3.0
 
 
-def _iem_singular(h):
-    """Where the drift-implicit EM step's divisor 1 - h vanishes (h = mu*dt)."""
-    return 1.0 - h == 0.0
+def _iem_divisor(h):
+    """The drift-implicit EM step's divisor 1 - h (h = mu*dt)."""
+    return 1.0 - h
+
+
+def _nonzero(divisor, h):
+    """divisor(h), one of the two above; raises SingularStepError, naming its step, where it vanishes."""
+    d = divisor(h)
+    if np.any(d == 0.0):
+        what = "block system" if divisor is _qpi_divisor else "implicit EM step"
+        raise SingularStepError(f"{what} singular for mu*dt = {h}")
+    return d
 
 
 def _mu_dt(mu, dt):
@@ -66,17 +74,8 @@ def _mu_dt(mu, dt):
 
 
 def _qpi_denominators(h):
-    """Block denominators D = 1 - h + h^2/3 and E = 1 - h/3; raises SingularStepError where E = 0."""
-    if np.any(_qpi_singular(h)):
-        raise SingularStepError(f"block system singular for mu*dt = {h}")
-    return 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
-
-
-def _iem_denominator(h):
-    """The drift-implicit EM divisor 1 - h; raises SingularStepError where it vanishes."""
-    if np.any(_iem_singular(h)):
-        raise SingularStepError(f"implicit EM step singular for mu*dt = {h}")
-    return 1.0 - h
+    """Block denominators D = 1 - h + h^2/3 and E; raises SingularStepError where E = 0."""
+    return 1.0 - h + h * h / 3.0, _nonzero(_qpi_divisor, h)
 
 
 def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb, out=None):
@@ -95,7 +94,7 @@ def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb, out=None):
     dWab = np.add(dWa, dWb, out=beta)
     np.multiply(sigma * (h / 12.0), dWab, out=alpha)
     np.subtract(1.0 - h * h / 6.0, alpha, out=alpha)
-    dWa *= sigma * (1.0 - h / 3.0)
+    dWa *= sigma * d2
     alpha += dWa
     alpha /= d1
     # beta = (1 + h/3 + (4h/3) alpha + sigma dWab) / d2
@@ -140,7 +139,7 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, ou
     elif scheme is SchemeId.IMPLICIT_EM:  # (1 + sigma dW) / (1 - mu dt)
         np.multiply(sigma, dW, out=out)
         out += 1.0
-        out /= _iem_denominator(mu * dt)
+        out /= _nonzero(_iem_divisor, mu * dt)
     else:  # 1 + mu dt + sigma dW + (dW^2 - dt) sign sigma^2/2
         sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
         np.multiply(dW, dW, out=out)
@@ -153,24 +152,16 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, ou
     return out
 
 
-def _contiguous(a: np.ndarray, shape) -> np.ndarray:
-    """A C-contiguous array of the given shape in the first values of a's memory,
-    or a new one if a is not C-contiguous."""
-    if not a.flags.c_contiguous:
-        return np.empty(shape)
-    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
 def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w,
               out=None, scratch=None) -> np.ndarray:
     """Run one scheme, a SchemeId or its name, over [0, t_end], driven by matching Wiener paths.
 
     w holds the Wiener values at the N+1 uniform nodes on its last axis, one
-    row per path; the result has its shape and goes to out if given, as
-    numpy's out=. scratch, if given, is a float64 array of w's shape that the
-    call may overwrite; otherwise it allocates one. The two-step scheme
-    requires an even N and fills nodes pairwise from the block multipliers;
-    the one-step schemes fill sequentially.
+    row per path; the result has its shape. It goes to out, and the call's
+    temporaries to scratch, if given, under the kernels' buffer rule
+    (model._buffer), with out apart from w and scratch apart from both. The
+    two-step scheme requires an even N and fills nodes pairwise from the
+    block multipliers; the one-step schemes fill sequentially.
     """
     scheme = SchemeId.parse(scheme)
     w = np.asarray(w, dtype=float)
@@ -181,23 +172,23 @@ def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w,
     # unit-x0 trajectory scaled once at the end, so trajectories are
     # node-wise exactly linear in x0. The increments are held in values'
     # memory and the multipliers in scratch's, each as one contiguous block
-    values = np.empty(w.shape) if out is None else out
-    scratch = np.empty(w.shape) if scratch is None else scratch
+    values = _buffer(out, w.shape, w)
+    scratch = _buffer(scratch, w.shape, w, values)
     if scheme is SchemeId.QPI:
         # each block's first and second increment, then its alpha and beta, as two halves
         half = (2, *w.shape[:-1], n // 2)
-        dWa, dWb = _contiguous(values, half)
+        dWa, dWb = _front(values, half)
         np.subtract(w[..., 1::2], w[..., 0:-1:2], out=dWa)
         np.subtract(w[..., 2::2], w[..., 1::2], out=dWb)
         alpha, beta = _qpi_alpha_beta(params.mu, params.sigma, dt, dWa, dWb,
-                                      out=_contiguous(scratch, half))
+                                      out=_front(scratch, half))
         values[..., 0] = 1.0
         np.cumprod(beta, axis=-1, out=values[..., 2::2])
         np.multiply(alpha, values[..., 0:-1:2], out=values[..., 1::2])
     else:
         steps = (*w.shape[:-1], n)
-        dW = np.subtract(w[..., 1:], w[..., :-1], out=_contiguous(values, steps))
-        mult = _one_step_multipliers(scheme, params, dt, dW, out=_contiguous(scratch, steps))
+        dW = np.subtract(w[..., 1:], w[..., :-1], out=_front(values, steps))
+        mult = _one_step_multipliers(scheme, params, dt, dW, out=_front(scratch, steps))
         np.cumprod(mult, axis=-1, out=values[..., 1:])
         values[..., 0] = 1.0
     values *= params.x0

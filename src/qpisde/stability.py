@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _csvtext
 from .errors import InvalidInputError
-from .schemes import _iem_denominator, _iem_singular, _mu_dt, _qpi_denominators, _qpi_singular
+from .schemes import _iem_divisor, _mu_dt, _nonzero, _qpi_denominators, _qpi_divisor
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
 
@@ -68,7 +68,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
 
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
-    num, den = 1.0 + sigma * sigma * dt, _iem_denominator(_mu_dt(mu, dt))
+    num, den = 1.0 + sigma * sigma * dt, _nonzero(_iem_divisor, _mu_dt(mu, dt))
     with np.errstate(over="ignore"):  # den^2 is inf for |1 - mu*dt| > ~1.3e154
         den2 = den * den
     return _value(np.where(np.isinf(den2), num / den / den, num / den2))
@@ -101,12 +101,12 @@ class RegionGrid:
     verdicts: np.ndarray
 
 
-# condition -> (function, mask of h = mu*dt where that function raises SingularStepError)
+# condition -> (function, its divisor of h = mu*dt: the function raises SingularStepError where it is 0)
 _CONDITIONS = {
-    "qpi-paper": (qpi_paper_lhs, _qpi_singular),
-    "qpi-exact": (qpi_exact_amplification, _qpi_singular),
-    "iem": (iem_amplification, _iem_singular),
-    "milstein": (milstein_amplification, lambda h: np.zeros(np.shape(h), dtype=bool)),
+    "qpi-paper": (qpi_paper_lhs, _qpi_divisor),
+    "qpi-exact": (qpi_exact_amplification, _qpi_divisor),
+    "iem": (iem_amplification, _iem_divisor),
+    "milstein": (milstein_amplification, np.ones_like),  # Milstein's divisor never vanishes
 }
 
 
@@ -138,9 +138,9 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
-    fn, singular_at = _CONDITIONS[condition]
+    fn, divisor = _CONDITIONS[condition]
     mu, dt = mu_axis[:, None], dt_axis[None, :]
-    singular = singular_at(mu * dt)
+    singular = divisor(mu * dt) == 0.0
     # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1
     lhs = fn(np.where(singular, 0.0, mu), sigma, dt)
     if not (np.isfinite(lhs) | singular).all():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpisde import (GbmParams, SchemeId, analysis, brownian, coarsen,
+from qpisde import (GbmParams, InvalidInputError, SchemeId, analysis, brownian, coarsen,
                     convergence_study, error_norms, exact_solution,
                     generate_path, integrate, mix_seed, qpi_block_solve_oracle)
 from qpisde.schemes import _qpi_alpha_beta
@@ -59,24 +59,80 @@ def test_batched_layers_equal_single_rows(seeds, half, params, scheme):
     stacked = np.stack([w, w])
     assert np.array_equal(integrate(scheme, params, 1.0, stacked),
                           np.stack([approx, approx]))
-    # writing into a caller's arrays gives the allocating calls' bits, for
+    # writing into a caller's arrays gives the allocating calls' bits for
     # contiguous views of a larger buffer (a convergence study's workspace)
-    # and for strided ones
     buffer = np.full(4 * fine.size, np.nan)
-    contiguous = [buffer[k * w.size:(k + 1) * w.size].reshape(w.shape) for k in range(3)]
-    strided = list(np.full((3, *w.shape[:-1], 2 * w.shape[-1]), np.nan)[..., ::2])
-    for out_exact, out, scratch in (contiguous, strided):
-        assert exact_solution(params, 1.0, w, out=out_exact) is out_exact
-        assert same_bits(out_exact, exact)
-        for s in SchemeId:
-            assert integrate(s, params, 1.0, w, out=out, scratch=scratch) is out
-            assert same_bits(out, integrate(s, params, 1.0, w))
-            for got, want in zip(error_norms(exact, out, scratch=scratch), error_norms(exact, out)):
-                assert same_bits(got, want)
-    for out_fine in (buffer[1:fine.size + 1].reshape(fine.shape),
-                     np.full((*fine.shape[:-1], 2 * fine.shape[-1]), np.nan)[..., ::2]):
-        assert generate_path(seeds, 1.0, 4 * half, out=out_fine) is out_fine
-        assert same_bits(out_fine, fine)
+    out_exact, out, scratch = (buffer[k * w.size:(k + 1) * w.size].reshape(w.shape) for k in range(3))
+    assert exact_solution(params, 1.0, w, out=out_exact) is out_exact
+    assert same_bits(out_exact, exact)
+    for s in SchemeId:
+        assert integrate(s, params, 1.0, w, out=out, scratch=scratch) is out
+        assert same_bits(out, integrate(s, params, 1.0, w))
+        for got, want in zip(error_norms(exact, out, scratch=scratch), error_norms(exact, out)):
+            assert same_bits(got, want)
+    out_fine = buffer[1:fine.size + 1].reshape(fine.shape)
+    assert generate_path(seeds, 1.0, 4 * half, out=out_fine) is out_fine
+    assert same_bits(out_fine, fine)
+    # and strided ones are refused, with nothing written
+    strided = np.full((3, *w.shape[:-1], 2 * w.shape[-1]), np.nan)[..., ::2]
+    strided_fine = np.full((*fine.shape[:-1], 2 * fine.shape[-1]), np.nan)[..., ::2]
+    for call in (lambda: exact_solution(params, 1.0, w, out=strided[0]),
+                 lambda: integrate(scheme, params, 1.0, w, out=strided[1]),
+                 lambda: integrate(scheme, params, 1.0, w, scratch=strided[2]),
+                 lambda: error_norms(exact, approx, scratch=strided[2]),
+                 lambda: generate_path(seeds, 1.0, 4 * half, out=strided_fine)):
+        with pytest.raises(InvalidInputError, match="C-contiguous"):
+            call()
+    assert np.isnan(strided).all() and np.isnan(strided_fine).all()
+
+
+def read_only(shape):
+    a = np.full(shape, np.nan)
+    a.flags.writeable = False
+    return a
+
+
+# the kinds of out= and scratch= a caller might pass for a kernel input w, as (out, scratch)
+BUFFERS = {
+    "contiguous": lambda w: (np.full(w.shape, np.nan), np.full(w.shape, np.nan)),
+    "workspace view": lambda w: tuple(np.full(3 * w.size + 1, np.nan)[1:].reshape(3, *w.shape)[:2]),
+    "strided": lambda w: tuple(np.full((2, *w.shape[:-1], 2 * w.shape[-1]), np.nan)[..., ::2]),
+    "float32": lambda w: (np.full(w.shape, np.nan, np.float32), np.full(w.shape, np.nan, np.float32)),
+    "wrong shape": lambda w: (np.full((2, *w.shape), np.nan), np.full((2, *w.shape), np.nan)),
+    "read-only": lambda w: (read_only(w.shape), read_only(w.shape)),
+    "out is w": lambda w: (w, None),
+    "scratch is w": lambda w: (None, w),
+    "scratch is out": lambda w: (np.full(w.shape, np.nan),) * 2,
+}
+
+
+# with any of these, every kernel either equals its allocating call bit for bit or raises
+# InvalidInputError, and a contiguous buffer is never refused
+@settings(max_examples=40, deadline=None)
+@given(seeds=SEEDS, half=st.integers(1, 16), params=PARAMS)
+def test_kernel_buffers_give_the_allocating_bits_or_raise(seeds, half, params):
+    w = generate_path(seeds, 1.0, 2 * half)
+    exact = exact_solution(params, 1.0, w)
+    # each kernel as a call on its input w (a path block) with out= and scratch=; one without
+    # an out= or a scratch= ignores it
+    kernels = {
+        "generate_path": lambda w, out, scratch: generate_path(seeds, 1.0, 2 * half, out=out),
+        "exact_solution": lambda w, out, scratch: exact_solution(params, 1.0, w, out=out),
+        "error_norms": lambda w, out, scratch: error_norms(exact, w, scratch=scratch),
+        **{s.value: lambda w, out, scratch, s=s: integrate(s, params, 1.0, w, out=out, scratch=scratch)
+           for s in SchemeId},
+    }
+    for name, kernel in kernels.items():
+        want = np.asarray(kernel(w.copy(), None, None))
+        for variant, buffers in BUFFERS.items():
+            w_in = w.copy()
+            try:
+                got = np.asarray(kernel(w_in, *buffers(w_in)))
+            except InvalidInputError:
+                assert variant not in ("contiguous", "workspace view"), (name, variant)
+                assert same_bits(w_in, w), (name, variant)  # a refused call writes nothing
+            else:
+                assert same_bits(got, want), (name, variant)
 
 
 @settings(max_examples=100, deadline=None)
