@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-# values per block of batched work (convergence_study's path blocks, join's chunks)
+# values per block of batched work (convergence_study's path blocks, the CSV writers' chunks)
 _BATCH_VALUES = 1 << 16
 
 # the longest "%.17g" text is 24 bytes (-2.2250738585072014e-308), then a separator

@@ -60,7 +60,7 @@ def _iem_divisor(h):
 def _nonzero(divisor, h):
     """divisor(h), one of the two above; raises SingularStepError, naming its step, where it vanishes."""
     d = divisor(h)
-    if np.any(d == 0.0):
+    if np.count_nonzero(d == 0.0):
         what = "block system" if divisor is _qpi_divisor else "implicit EM step"
         raise SingularStepError(f"{what} singular for mu*dt = {h}")
     return d

@@ -153,48 +153,66 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
 
 
 def region_to_csv(grid: RegionGrid) -> list[bytes]:
-    """The `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, in ASCII chunks."""
-    # each axis value is formatted once; a cell's row picks its mu and dt fields
-    mu_txt, dt_txt = _csvtext.fields(grid.mu_axis), _csvtext.fields(grid.dt_axis)
-    lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan).ravel()
-    stable = np.asarray(grid.verdicts, dtype=bool).ravel().view(np.uint8)
-    bit_txt = _csvtext.fields([0.0, 1.0])  # "0" and "1"
+    """The `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, as ASCII
+    bytes: the header line, then one item per chunk of whole mu rows of at most
+    65,536 values (_csvtext._BATCH_VALUES), at least one mu row."""
+    def narrow(txt):  # each field cut to the widest text on its axis, then a comma
+        width = np.flatnonzero(((txt != 0) & (txt != ord(" "))).any(0))[-1] + 1
+        out = txt[:, :width + 1].copy()
+        out[:, width] = ord(",")
+        return out
 
-    def block(rows):
-        i, j = np.divmod(np.arange(rows.start, rows.stop), len(dt_txt))
-        return np.stack((mu_txt[i], dt_txt[j], _csvtext.fields(lhs[rows]),
-                         bit_txt[stable[rows]]), axis=1)
-
-    return _csvtext.join("mu,dt,lhs,stable", lhs.size, 4, block)
+    # each axis value is formatted once; a chunk broadcasts them over its cells
+    mu_txt, dt_txt = narrow(_csvtext.fields(grid.mu_axis)), narrow(_csvtext.fields(grid.dt_axis))
+    lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan)
+    stable = np.asarray(grid.verdicts, dtype=bool).view(np.uint8)
+    verdict_txt = np.frombuffer(b"0\n1\n", dtype=np.uint8).reshape(2, 2)
+    # a cell's bytes: its mu and dt texts, its lhs field, then "0\n" or "1\n"
+    a, b = mu_txt.shape[1], mu_txt.shape[1] + dt_txt.shape[1]
+    c = b + _csvtext._WIDTH
+    step = max(1, _csvtext._BATCH_VALUES // (4 * len(dt_txt)))
+    chunks = [b"mu,dt,lhs,stable\n"]
+    for start in range(0, len(mu_txt), step):
+        rows = slice(start, start + step)
+        chunk = np.empty(stable[rows].shape + (c + 2,), dtype=np.uint8)
+        chunk[..., :a] = mu_txt[rows, None]
+        chunk[..., a:b] = dt_txt
+        chunk[..., b:c] = _csvtext.fields(lhs[rows])
+        chunk[..., c - 1] = ord(",")
+        chunk[..., c:] = verdict_txt[stable[rows]]
+        chunks.append(chunk.tobytes().translate(None, b"\0 "))
+    return chunks
 
 
 def region_to_svg(grid: RegionGrid) -> list[bytes]:
-    """Render the stable cells of a region scan as a standalone SVG document, in one ASCII chunk."""
+    """Render the stable cells of a region scan as a standalone SVG document, as ASCII
+    bytes: the head, then one item per mu row that has a stable cell, then the axes."""
     ml, mr, mt, mb = 60, 20, 40, 50  # margins
     pw, ph = _SVG_WIDTH - ml - mr, _SVG_HEIGHT - mt - mb
     mu, dt = grid.mu_axis, grid.dt_axis
     nmu, ndt = len(mu), len(dt)
     cw, ch = pw / nmu, ph / ndt
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<title>Stability region: {grid.condition}, sigma={grid.sigma:g}</title>',
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<text x="{_SVG_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
-        f'Stability region ({grid.condition}, sigma={grid.sigma:g})</text>',
+        f'Stability region ({grid.condition}, sigma={grid.sigma:g})</text>\n',
     ]
-    # one rect per stable cell, row-major over (mu, dt); a mu row with none adds no part
+    chunks = ["\n".join(head).encode("ascii")]
+    # one rect line per stable cell, row-major over (mu, dt); a mu row with none adds no chunk
     y_txt = [f'{mt + ph - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" '
-             f'height="{ch + 0.5:.2f}" fill="#7fb3d5"/>' for j in range(ndt)]
+             f'height="{ch + 0.5:.2f}" fill="#7fb3d5"/>\n'.encode("ascii") for j in range(ndt)]
     for i, stable_row in enumerate(grid.verdicts.tolist()):
         ys = list(compress(y_txt, stable_row))
         if ys:
-            x = f'<rect x="{ml + i * cw:.2f}" y="'
-            parts.append(x + ("\n" + x).join(ys))
+            x = f'<rect x="{ml + i * cw:.2f}" y="'.encode("ascii")
+            chunks.append(x + x.join(ys))
     # axes
-    parts.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>')
-    parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>')
+    parts = [f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
+             f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>']
     n_ticks = 5
     for k in range(n_ticks):
         fx = k / (n_ticks - 1)
@@ -210,4 +228,5 @@ def region_to_svg(grid: RegionGrid) -> list[bytes]:
     parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" font-size="14" '
                  f'transform="rotate(-90 18 {mt + ph / 2:.1f})">dt</text>')
     parts.append("</svg>\n")
-    return ["\n".join(parts).encode("ascii")]
+    chunks.append("\n".join(parts).encode("ascii"))
+    return chunks

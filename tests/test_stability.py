@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qpisde import _csvtext
 from qpisde import (GbmParams, InvalidInputError, RegionGrid, SchemeId, SingularStepError,
                     iem_amplification, milstein_amplification,
                     qpi_exact_amplification, qpi_paper_lhs, region_scan,
@@ -293,14 +294,14 @@ LHS_VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats())
 
 
 @st.composite
-def region_grids(draw):
+def region_grids(draw, axis_values=AXIS_VALUES):
     nmu, ndt = draw(st.integers(2, 25)), draw(st.integers(2, 25))
     verdicts = draw(st.one_of(st.just(np.ones((nmu, ndt), dtype=bool)),
                               st.just(np.zeros((nmu, ndt), dtype=bool)),
                               arrays(bool, (nmu, ndt))))
     return RegionGrid(condition="qpi-paper", sigma=0.5,
-                      mu_axis=draw(arrays(float, nmu, elements=AXIS_VALUES)),
-                      dt_axis=draw(arrays(float, ndt, elements=AXIS_VALUES)),
+                      mu_axis=draw(arrays(float, nmu, elements=axis_values)),
+                      dt_axis=draw(arrays(float, ndt, elements=axis_values)),
                       lhs=draw(arrays(float, (nmu, ndt), elements=LHS_VALUES)),
                       verdicts=verdicts)
 
@@ -313,6 +314,14 @@ FIXED_GRID = RegionGrid(
                   [0.5, np.nan, 1.0, 5e-324, -0.0],
                   [-np.inf, 0.25, np.inf, np.nan, 2.0 / 3.0]]),
     verdicts=np.array([[True] * 5, [False] * 5, [False, True, False, True, True]]))
+
+# axes whose texts take the `%` fallback, space-padded, beside shorter and longer ones
+FALLBACK_AXES_GRID = RegionGrid(
+    condition="qpi-paper", sigma=0.5,
+    mu_axis=np.array([-0.0, 5e-324, -2.5, 1e300, -2.2250738585072014e-308]),
+    dt_axis=np.array([1e300, 5e-324, 0.125, -0.0]),
+    lhs=np.linspace(-1.0, 2.0, 20).reshape(5, 4),
+    verdicts=np.linspace(-1.0, 2.0, 20).reshape(5, 4) < 1.0)
 
 
 class TestWritersMatchPerCellReference:
@@ -331,6 +340,24 @@ class TestWritersMatchPerCellReference:
         lines = b"".join(region_to_svg(grid)).decode("ascii").split("\n")
         assert lines[4:4 + len(cells)] == cells
         assert lines[4 + len(cells)].startswith("<line")
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=region_grids(st.one_of(st.sampled_from([1e300, 5e-324, -0.0]), AXIS_VALUES)))
+    @example(grid=FIXED_GRID)
+    @example(grid=FALLBACK_AXES_GRID)
+    def test_csv_chunks_are_whole_mu_rows(self, grid):
+        # 1 and 2 mu rows per chunk, and nmu - 1, which leaves a short last chunk for nmu >= 3
+        nmu, ndt = grid.lhs.shape
+        for k in (1, 2, nmu - 1):
+            with pytest.MonkeyPatch.context() as mp:
+                # one value short of k + 1 mu rows of 4 values per cell
+                mp.setattr(_csvtext, "_BATCH_VALUES", 4 * ndt * (k + 1) - 1)
+                chunks = region_to_csv(grid)
+            assert b"".join(chunks).decode("ascii") == csv_reference(grid)
+            assert chunks[0] == b"mu,dt,lhs,stable\n"
+            assert all(chunk.endswith(b"\n") for chunk in chunks[1:])
+            assert [chunk.count(b"\n") for chunk in chunks[1:]] == [
+                ndt * min(k, nmu - start) for start in range(0, nmu, k)]
 
 
 def scan_reference(condition, sigma, mu_axis, dt_axis):
