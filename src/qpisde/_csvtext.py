@@ -19,7 +19,7 @@ A chunk is laid out whole in the layout of its most common x, one table
 lookup, copy or fill per row; values of any other x get planes of their own.
 A field is _WIDTH bytes: the text, padding bytes around it (NUL, or spaces after
 a fallback text; a number's text holds none) and a last byte for the separator.
-`join` deletes the padding and hands the text out in ASCII chunks, never one buffer.
+`join` deletes the padding and yields the text in ASCII chunks, never one buffer.
 """
 
 from __future__ import annotations
@@ -28,8 +28,13 @@ import functools
 
 import numpy as np
 
-# values per block of batched work (convergence_study's path blocks, the CSV writers' chunks)
+# values per block of batched work (path blocks, region_scan's mu rows, the CSV writers' chunks)
 _BATCH_VALUES = 1 << 16
+
+
+def _block_rows(values_per_row: int) -> int:
+    """Rows in a block of batched work: as many as hold _BATCH_VALUES values, at least one."""
+    return max(1, _BATCH_VALUES // values_per_row)
 
 # the longest "%.17g" text is 24 bytes (-2.2250738585072014e-308), then a separator
 _WIDTH = 25
@@ -139,19 +144,18 @@ def fields(values) -> np.ndarray:
     return out.reshape(np.shape(values) + (_WIDTH,))
 
 
-def join(header: str, n_rows: int, n_fields: int, block) -> list[bytes]:
-    """The header line, then n_rows CSV rows of n_fields fields each, as ASCII
-    bytes: the header line, then one item per chunk of rows.
+def join(header: str, n_rows: int, n_fields: int, block):
+    """Yield a CSV of n_rows rows of n_fields fields each as ASCII bytes: the
+    header line, then one item per chunk of rows, each built when it is asked for.
 
     block(rows) gives the fields of a slice of rows, as `fields` makes them:
     uint8, shape (rows, n_fields, _WIDTH). It is called on consecutive slices
-    of at most _BATCH_VALUES fields (at least one row), bounding the memory.
+    of _block_rows(n_fields) rows, bounding the memory.
     """
-    step = max(1, _BATCH_VALUES // n_fields)
-    chunks = [(header + "\n").encode("ascii")]
+    yield (header + "\n").encode("ascii")
+    step = _block_rows(n_fields)
     for start in range(0, n_rows, step):
         chunk = block(slice(start, min(start + step, n_rows)))
         chunk[:, :-1, -1] = ord(",")
         chunk[:, -1, -1] = ord("\n")
-        chunks.append(chunk.tobytes().translate(None, b"\0 "))
-    return chunks
+        yield chunk.tobytes().translate(None, b"\0 ")

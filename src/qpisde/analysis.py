@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvtext import _BATCH_VALUES
+from ._csvtext import _block_rows
 from .brownian import _raw_words, _standard_normal, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
 from .model import GbmParams, _buffer, _count, _front, exact_solution
@@ -76,10 +76,10 @@ def _workspace(n_list, n_paths):
     n_list must be strictly ascending counts that each divide its last, n_max.
     The first array is the workspace: the fine path block, the exact and
     approximate trajectories and a scratch array, each of block rows by
-    n_max + 1, where a block holds _BATCH_VALUES values, or one path if that
-    is more, and at most n_paths paths. Then each coarser grid n has a buffer
-    for the coarsened rows of whole blocks: as many blocks as a workspace
-    array holds at n + 1 nodes, but no more than the study draws.
+    n_max + 1, where a block holds _block_rows(n_max + 1) paths, and at most
+    n_paths. Then each coarser grid n has a buffer for the coarsened rows of
+    whole blocks: as many blocks as a workspace array holds at n + 1 nodes,
+    but no more than the study draws.
     """
     n_list = [_count(n, "every n in n_list") for n in n_list]
     if not n_list or sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
@@ -88,7 +88,7 @@ def _workspace(n_list, n_paths):
     for n in n_list:
         if n_max % n != 0:
             raise InvalidInputError(f"every n in n_list must divide max(n_list); got {n} for {n_max}")
-    block = min(max(1, _BATCH_VALUES // (n_max + 1)), n_paths)
+    block = min(_block_rows(n_max + 1), n_paths)
     buffers = [(block * min((n_max + 1) // (n + 1), -(-n_paths // block)), n + 1) for n in n_list[:-1]]
     return n_list, n_paths, [(4, block, n_max + 1), *buffers]
 

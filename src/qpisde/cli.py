@@ -20,8 +20,8 @@ takes --sigma but not --mu or --x0, and accepts --seed without using it.
 
 A command whose main arrays would hold more than MAX_VALUES float64 values
 exits 2, naming its size flags, before it draws or allocates anything. Every writer
-returns ASCII chunks, written only once all are built: as bytes to the -o
-file, opened in binary mode, or decoded to stdout for `-o -`.
+yields ASCII chunks, each written as it is built; a regular -o file is replaced by a
+temp file only once all are written, so a run that fails leaves it as it was.
 
 Every failure is one stderr line, `qpisde <sub>: error: <message>`, and `main`
 exits as argparse does: 2 for bad input, 1 for IO or memory; success returns 0.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import re
 import sys
 
@@ -43,8 +44,8 @@ from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
-# its study's workspace and buffers. With temporaries and CSV text, peak RSS grew 10-13x the
-# count for stability, 5-7x for simulate and local-error, 1.1-1.5x for converge
+# its study's workspace and buffers. With temporaries and the chunk of text being written, peak
+# RSS grew 1.25x the count for stability, 1.4x for simulate, 5.5x for local-error, 1.1-1.5x for converge
 MAX_VALUES = 1 << 26
 
 
@@ -127,13 +128,31 @@ def _require_finite(values, what: str) -> None:
         raise InvalidInputError(f"{what} overflowed to inf or nan; no output written")
 
 
-def _write_output(path: str, chunks: list[bytes]) -> None:
-    """Write the ASCII chunks to a file opened in binary mode, or to stdout as text for '-'."""
+def _write_output(path: str, chunks) -> None:
+    """Write each ASCII chunk as it is built: to stdout as text for '-', to a regular file
+    through a temp file beside it that replaces it once all are written, else directly."""
     if path == "-":
         sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
-    else:
+        return
+    target = os.path.realpath(path)  # through a symlink, the file it names is replaced
+    # /dev/null, a FIFO, a tty, or a /dev/fd link to a pipe or an unlinked file
+    if os.path.exists(path) and not (os.path.isfile(target) and os.path.samefile(path, target)):
         with open(path, "wb") as fh:
             fh.writelines(chunks)
+        return
+    tmp = f"{target}.{os.getpid()}~"  # a killed run leaves it; a later run of its pid reuses it
+    try:
+        fh = open(tmp, "wb")  # a new file gets the mode the umask gives it
+    except OSError as exc:
+        exc.filename = path  # the error names the -o path, not the temp file
+        raise
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_simulate(args) -> None:
@@ -141,14 +160,20 @@ def cmd_simulate(args) -> None:
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
     scheme = SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
     _check_size(n_paths * (n + 1), "--paths and --n")
-    w = brownian.generate_path(brownian.mix_seed(seed, np.arange(n_paths)), t_end, n)
-    approx = integrate(scheme, params, t_end, w)
+    # one path: its exact, then its approximate trajectory; else one row per path
+    columns = np.empty((n_paths + (n_paths == 1), n + 1))
+    approx = columns[-n_paths:]
+    block = min(_csvtext._block_rows(n + 1), n_paths)
+    work = np.empty((2, block, n + 1))  # a block's paths and the kernel's scratch
+    for start in range(0, n_paths, block):
+        ids = np.arange(start, min(start + block, n_paths))
+        w = brownian.generate_path(brownian.mix_seed(seed, ids), t_end, n, out=work[0, :len(ids)])
+        integrate(scheme, params, t_end, w, out=approx[start:start + block], scratch=work[1, :len(ids)])
     if n_paths == 1:
         header = "t,exact,approx"
-        columns = np.concatenate((exact_solution(params, t_end, w), approx))
+        exact_solution(params, t_end, w, out=columns[:1])
     else:
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
-        columns = approx
     _require_finite(columns, "simulated trajectory")
     t = np.linspace(0.0, t_end, n + 1)
     _write_output(args.output, _csvtext.join(header, n + 1, len(columns) + 1, lambda rows:

@@ -118,9 +118,9 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     which keeps every axis value finite; resolution is the number of samples
     per axis (>= 2). Cells whose mu*dt is in the condition's singular set (where
     its function raises SingularStepError) get lhs = nan and are unstable. The
-    condition is evaluated once, elementwise over the whole grid, with the
-    regular stand-in mu = 0 at singular cells, so no value depends on its
-    neighbours; an overflow at a regular cell raises InvalidInputError.
+    condition is evaluated elementwise per block of mu rows (region_to_csv's chunk)
+    with the regular stand-in mu = 0 at singular cells, so no value depends on
+    its neighbours; an overflow at a regular cell raises InvalidInputError.
     """
     if condition not in _CONDITIONS:
         raise InvalidInputError(
@@ -139,53 +139,53 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
     fn, divisor = _CONDITIONS[condition]
-    mu, dt = mu_axis[:, None], dt_axis[None, :]
-    singular = divisor(mu * dt) == 0.0
-    # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1
-    lhs = fn(np.where(singular, 0.0, mu), sigma, dt)
-    if not (np.isfinite(lhs) | singular).all():
-        raise InvalidInputError("stability condition overflowed to inf or nan away from a "
-                                "singular point; no output written")
-    lhs[singular] = np.nan
+    lhs, dt, step = np.empty((resolution, resolution)), dt_axis[None, :], _csvtext._block_rows(4 * resolution)
+    for start in range(0, resolution, step):
+        mu, block = mu_axis[start:start + step, None], lhs[start:start + step]
+        singular = divisor(mu * dt) == 0.0
+        # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1
+        block[...] = fn(np.where(singular, 0.0, mu), sigma, dt)
+        if not (np.isfinite(block) | singular).all():
+            raise InvalidInputError("stability condition overflowed to inf or nan away from a "
+                                    "singular point; no output written")
+        block[singular] = np.nan
     # nan < 1.0 is False, so the singular cells come out unstable
     return RegionGrid(condition=condition, sigma=sigma, mu_axis=mu_axis,
                       dt_axis=dt_axis, lhs=lhs, verdicts=lhs < 1.0)
 
 
-def region_to_csv(grid: RegionGrid) -> list[bytes]:
-    """The `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, as ASCII
-    bytes: the header line, then one item per chunk of whole mu rows of at most
-    65,536 values (_csvtext._BATCH_VALUES), at least one mu row."""
+def region_to_csv(grid: RegionGrid):
+    """Yield the `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, as
+    ASCII bytes: the header line, then one item per chunk of whole mu rows of at most
+    65,536 values (_csvtext._BATCH_VALUES), at least one mu row, each built when asked for."""
     def narrow(txt):  # each field cut to the widest text on its axis, then a comma
         width = np.flatnonzero(((txt != 0) & (txt != ord(" "))).any(0))[-1] + 1
         out = txt[:, :width + 1].copy()
         out[:, width] = ord(",")
         return out
 
+    yield b"mu,dt,lhs,stable\n"
     # each axis value is formatted once; a chunk broadcasts them over its cells
     mu_txt, dt_txt = narrow(_csvtext.fields(grid.mu_axis)), narrow(_csvtext.fields(grid.dt_axis))
-    lhs = np.where(np.isfinite(grid.lhs), grid.lhs, np.nan)
     stable = np.asarray(grid.verdicts, dtype=bool).view(np.uint8)
     verdict_txt = np.frombuffer(b"0\n1\n", dtype=np.uint8).reshape(2, 2)
     # a cell's bytes: its mu and dt texts, its lhs field, then "0\n" or "1\n"
     a, b = mu_txt.shape[1], mu_txt.shape[1] + dt_txt.shape[1]
     c = b + _csvtext._WIDTH
-    step = max(1, _csvtext._BATCH_VALUES // (4 * len(dt_txt)))
-    chunks = [b"mu,dt,lhs,stable\n"]
+    step = _csvtext._block_rows(4 * len(dt_txt))  # a cell is 4 CSV values, as in region_scan
     for start in range(0, len(mu_txt), step):
         rows = slice(start, start + step)
         chunk = np.empty(stable[rows].shape + (c + 2,), dtype=np.uint8)
         chunk[..., :a] = mu_txt[rows, None]
         chunk[..., a:b] = dt_txt
-        chunk[..., b:c] = _csvtext.fields(lhs[rows])
+        chunk[..., b:c] = _csvtext.fields(np.where(np.isfinite(grid.lhs[rows]), grid.lhs[rows], np.nan))
         chunk[..., c - 1] = ord(",")
         chunk[..., c:] = verdict_txt[stable[rows]]
-        chunks.append(chunk.tobytes().translate(None, b"\0 "))
-    return chunks
+        yield chunk.tobytes().translate(None, b"\0 ")
 
 
-def region_to_svg(grid: RegionGrid) -> list[bytes]:
-    """Render the stable cells of a region scan as a standalone SVG document, as ASCII
+def region_to_svg(grid: RegionGrid):
+    """Yield the stable cells of a region scan as a standalone SVG document, in ASCII
     bytes: the head, then one item per mu row that has a stable cell, then the axes."""
     ml, mr, mt, mb = 60, 20, 40, 50  # margins
     pw, ph = _SVG_WIDTH - ml - mr, _SVG_HEIGHT - mt - mb
@@ -201,15 +201,15 @@ def region_to_svg(grid: RegionGrid) -> list[bytes]:
         f'<text x="{_SVG_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">'
         f'Stability region ({grid.condition}, sigma={grid.sigma:g})</text>\n',
     ]
-    chunks = ["\n".join(head).encode("ascii")]
+    yield "\n".join(head).encode("ascii")
     # one rect line per stable cell, row-major over (mu, dt); a mu row with none adds no chunk
     y_txt = [f'{mt + ph - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" '
              f'height="{ch + 0.5:.2f}" fill="#7fb3d5"/>\n'.encode("ascii") for j in range(ndt)]
-    for i, stable_row in enumerate(grid.verdicts.tolist()):
-        ys = list(compress(y_txt, stable_row))
+    for i, stable_row in enumerate(grid.verdicts):
+        ys = list(compress(y_txt, stable_row.tolist()))
         if ys:
             x = f'<rect x="{ml + i * cw:.2f}" y="'.encode("ascii")
-            chunks.append(x + x.join(ys))
+            yield x + x.join(ys)
     # axes
     parts = [f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
              f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>']
@@ -228,5 +228,4 @@ def region_to_svg(grid: RegionGrid) -> list[bytes]:
     parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" font-size="14" '
                  f'transform="rotate(-90 18 {mt + ph / 2:.1f})">dt</text>')
     parts.append("</svg>\n")
-    chunks.append("\n".join(parts).encode("ascii"))
-    return chunks
+    yield "\n".join(parts).encode("ascii")

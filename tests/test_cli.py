@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -69,11 +70,24 @@ class TestSimulate:
         assert exit_code(args + ["-o", str(b)]) == 0
         assert read(a) == read(b)
 
+    def test_bytes_independent_of_block_size(self, monkeypatch, capsysbinary):
+        argv = ["simulate", "--paths", "7", "--n", "8"]
+        assert main(argv) == 0
+        reference = capsysbinary.readouterr().out
+        shapes, integrate = [], cli.integrate
+        monkeypatch.setattr(cli, "integrate",
+                            lambda *args, **kwargs: shapes.append(args[-1].shape) or integrate(*args, **kwargs))
+        monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 3 * 9)  # blocks of 3 paths of 9 nodes
+        assert main(argv) == 0
+        assert shapes == [(3, 9), (3, 9), (1, 9)]
+        assert capsysbinary.readouterr().out == reference
+
     def test_unwritable_output(self, capsys):
         rc = exit_code(["simulate", "--n", "8", "-o", "/nonexistent-dir/x.csv"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("qpisde simulate: error: ") and err.count("\n") == 1
+        # the error names the -o path, not the temp file written beside it
+        assert capsys.readouterr().err == ("qpisde simulate: error: [Errno 2] No such file or "
+                                           "directory: '/nonexistent-dir/x.csv'\n")
 
 
 class TestConverge:
@@ -449,6 +463,28 @@ print(json.dumps(results))
 """
 
 
+# Runs each measured argv after a tiny run of every command, and prints the growth
+# of the process's peak RSS over each run (VmHWM after, less VmRSS before) as a
+# multiple of the float64 values the run counts. ru_maxrss is not used: a child
+# process starts with its parent's peak in it.
+MEMORY_SCRIPT = """
+import json, re, sys
+import qpisde.cli
+def kib(key):
+    with open("/proc/self/status") as fh:
+        return int(re.search(key + r":\\s+(\\d+) kB", fh.read())[1])
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for warm, _, _ in runs:
+    qpisde.cli.main(warm + ["-o", out])
+growth = []
+for _, argv, values in runs:
+    before = kib("VmRSS")
+    qpisde.cli.main(argv + ["-o", out])
+    growth.append(1024 * (kib("VmHWM") - before) / (8 * values))
+print(json.dumps(growth))
+"""
+
+
 class TestWorkSize:
     OVERSIZE = [
         (["converge", "--n-list", "1e30", "--paths", "1"], "--n-list"),
@@ -472,6 +508,20 @@ class TestWorkSize:
             assert code == 2, (argv, err)
             assert err.startswith(f"qpisde {argv[0]}: error: "), (argv, err)
             assert flag in err and "limit" in err and err.count("\n") == 1, (argv, err)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_peak_memory_a_small_multiple_of_the_count(self, tmp_path):
+        runs = [(["stability", "--grid", "4"], ["stability", "--grid", "1000"], 1000 * 1000),
+                (["stability", "--grid", "4", "--scheme", "qpi-exact"],
+                 ["stability", "--grid", "1000", "--scheme", "qpi-exact"], 1000 * 1000),
+                (["simulate", "--paths", "2", "--n", "4"],
+                 ["simulate", "--paths", "1000", "--n", "1000"], 1000 * 1001)]
+        done = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT, str(tmp_path / "out"), json.dumps(runs)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        growth = json.loads(done.stdout)
+        assert max(growth) <= 3, [f"{argv[:2]}: {g:.1f}x" for (_, argv, _), g in zip(runs, growth)]
 
     def test_budget_edge(self):
         cli._check_size(cli.MAX_VALUES, "--grid")
@@ -537,11 +587,69 @@ class TestOutputRoutes:
         lambda: stability.region_to_svg(stability.region_scan("iem", 0.5, (-1, 0), (0.1, 1), 3)),
     ], ids=["convergence-table", "local-error-report", "region-csv", "region-svg"])
     def test_every_writer_returns_ascii_chunks(self, write):
-        # the one contract _write_output takes: a nonempty list of ASCII bytes, ending a line
-        chunks = write()
-        assert type(chunks) is list and chunks
+        # the one contract _write_output takes: a nonempty iterable of ASCII bytes, ending a line
+        chunks = list(write())
+        assert chunks
         assert all(type(chunk) is bytes and chunk.isascii() for chunk in chunks)
         assert b"".join(chunks).endswith(b"\n")
+
+    @pytest.mark.parametrize("module,name,argv", [
+        (_csvtext, "join", ["simulate", "--paths", "3", "--n", "8"]),
+        (stability, "region_to_csv", ["stability", "--grid", "4"]),
+        (stability, "region_to_svg", ["stability", "--grid", "4", "--format", "svg"]),
+    ], ids=["simulate", "stability-csv", "stability-svg"])
+    @pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["replaced", "new"])
+    def test_failed_write_leaves_no_trace(self, module, name, argv, old, tmp_path, monkeypatch, capsys):
+        writer = getattr(module, name)
+
+        def failing(*args):  # the writer fails once its first chunk is out
+            chunks = writer(*args)
+            yield next(chunks)
+            raise OSError("No space left on device")
+        monkeypatch.setattr(module, name, failing)
+        out = tmp_path / "out"
+        if old is not None:
+            out.write_bytes(old)
+        assert exit_code(argv + ["-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"qpisde {argv[0]}: error: No space left on device\n"
+        assert list(tmp_path.iterdir()) == ([] if old is None else [out])
+        assert old is None or out.read_bytes() == old
+
+    def test_non_regular_target_written_directly(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "replace", None)  # replacing it would fail the run
+        assert main(["stability", "--grid", "4", "-o", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_pipe_through_dev_fd_written_directly(self, capsysbinary):
+        # /dev/fd/<w> resolves to a name that is no file, like `-o >(gzip > x.gz)`
+        assert main(["stability", "--grid", "4", "-o", "-"]) == 0
+        reference = capsysbinary.readouterr().out
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as fh:
+            try:
+                assert main(["stability", "--grid", "4", "-o", f"/dev/fd/{w}"]) == 0
+            finally:
+                os.close(w)
+            assert fh.read() == reference
+
+    def test_dev_stdout_written_directly(self, capfd):
+        # pytest's capture file is unlinked, so /dev/stdout resolves to a name that is no file
+        assert main(["stability", "--grid", "4", "-o", "-"]) == 0
+        reference = capfd.readouterr().out
+        assert main(["stability", "--grid", "4", "-o", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out == reference
+
+    def test_file_through_a_symlink_gets_the_umask_mode(self, tmp_path):
+        out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        out.write_bytes(b"old bytes\n")
+        out.chmod(0o600)
+        link.symlink_to(out)
+        assert main(["stability", "--grid", "4", "-o", str(link)]) == 0
+        assert link.is_symlink() and out.read_bytes().startswith(b"mu,dt,lhs,stable\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "out.csv"]
 
 
 # An argv grammar for the input contract: each subcommand starts from a small

@@ -102,7 +102,7 @@ def test_join_equals_percent_format(table):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_csvtext, "_BATCH_VALUES", 7)
-        out = _csvtext.join("a,b", rows, cols, block)
+        out = list(_csvtext.join("a,b", rows, cols, block))
     assert text(out) == csv_reference("a,b", table)
     assert chunks == [min(step, rows - start) for start in range(0, rows, step)]
 
@@ -173,13 +173,23 @@ def test_join_chunks_with_different_majorities(monkeypatch):
     assert len(shares) == len(majors) and min(shares) > 0.5
 
 
+def test_join_builds_each_chunk_when_asked(monkeypatch):
+    # 3 chunks of one row: nothing is built for the header, then one chunk per item taken
+    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 2)
+    table, built = np.arange(6.0).reshape(3, 2), []
+    chunks = _csvtext.join("a,b", 3, 2, lambda r: built.append(r.start) or _csvtext.fields(table[r]))
+    assert next(chunks) == b"a,b\n" and built == []
+    assert next(chunks) == b"0,1\n" and built == [0]
+    assert list(chunks) == [b"2,3\n", b"4,5\n"] and built == [0, 1, 2]
+
+
 @pytest.mark.parametrize("cols", [1, 3, 7, 1000, 1001])
 def test_join_hands_out_one_item_per_chunk(cols, monkeypatch):
     # the header line, then each chunk's rows on their own: no item holds the whole text
     monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 1000)
     table = sample()[:5000 // cols * cols].reshape(-1, cols)
     rows = table.shape[0]
-    chunks = _csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r]))
+    chunks = list(_csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r])))
     step = 1000 // cols or 1
     assert chunks[0] == b"h\n" and len(chunks) == 1 + -(-rows // step)
     for start, chunk in zip(range(0, rows, step), chunks[1:]):
