@@ -14,13 +14,12 @@ error differences between resolutions are purely discretization effects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvtext import _block_rows
-from .brownian import _raw_words, _standard_normal, coarsen, generate_path, mix_seed
+from .brownian import _increments, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
 from .model import GbmParams, _buffer, _count, _front, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
@@ -170,14 +169,17 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
     n_paths = _count(n_paths, "n_paths")
     mean_sq = np.empty_like(dts)
     mu, sigma, x0 = params.mu, params.sigma, params.x0
-    words = _raw_words(mix_seed(master_seed, np.arange(dts.size)), 2 * n_paths)
-    for k, (dt, raw) in enumerate(zip(dts, words)):
-        z = _standard_normal(raw)
-        z *= math.sqrt(dt)
+    seeds = mix_seed(master_seed, np.arange(dts.size))
+    draws, step = np.empty((1, 2 * n_paths + 1)), _block_rows(1)  # one dt's draws; samples per block
+    for k, dt in enumerate(dts):
+        z = _increments(seeds[k:k + 1], dt, draws)[0, 1:]
         dWa, dWb = z[:n_paths], z[n_paths:]
-        _, beta = _qpi_alpha_beta(mu, sigma, dt, dWa, dWb)
         # np.float64 ** gives inf on overflow where float ** raises
-        exact = np.exp((mu - 0.5 * np.float64(sigma)**2) * 2.0 * dt + sigma * (dWa + dWb))
-        delta = x0 * (exact - beta)
-        mean_sq[k] = float(np.mean(delta * delta))
+        drift = (mu - 0.5 * np.float64(sigma)**2) * 2.0 * dt
+        for i in range(0, n_paths, step):  # a block's squared errors go over its dWa, once used
+            a, b = dWa[i:i + step], dWb[i:i + step]
+            _, beta = _qpi_alpha_beta(mu, sigma, dt, a, b)
+            delta = x0 * (np.exp(drift + sigma * (a + b)) - beta)
+            np.multiply(delta, delta, out=a)
+        mean_sq[k] = float(np.mean(dWa))  # one pairwise sum over all samples, whatever the block size
     return LocalErrorReport(dt_list=dts, mean_sq=mean_sq)

@@ -15,9 +15,12 @@ power-of-two range numpy's bounded-integer draw never rejects a word and
 keeps its top 53 bits. Per-path seeds for Monte Carlo runs are derived from
 a master seed and the path index with a splitmix64 mix.
 
-A seed is an integer in [0, 2^64). The PCG64 states of a batch of seeds are
-computed in one numpy pass and equal np.random.PCG64(s).state (see
-_pcg64_states); each is set on the thread's reused PCG64 before its draw.
+A seed is an integer in [0, 2^64). _increments is the one routine that turns
+seeds into increments, for generate_path and for analysis.local_error_study:
+the PCG64 states of a batch of seeds are computed in one numpy pass and equal
+np.random.PCG64(s).state (see _pcg64_states), each is set on the thread's
+reused PCG64 before its draw, and the words of all seeds become normals in
+one block.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ def mix_seed(master_seed: int, index):
     return z ^ z >> 31
 
 
-def _pcg64_states(seeds) -> list[dict]:
-    """The state of np.random.PCG64(s) for each seed s, computed for all seeds at once.
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """The state of np.random.PCG64(s) for each seed s of a 1-d uint64 array, computed at once.
 
     PCG64(s) hashes s through SeedSequence(s): its uint32 words fill a pool
     of 4 words, the pool is mixed, and 8 words drawn from it give PCG64's
@@ -77,9 +80,6 @@ def _pcg64_states(seeds) -> list[dict]:
     uint32 scalar warns on overflow. PCG64's set-seed step, state = ((inc +
     init) * M + inc) mod 2^128 with inc = 2 seq + 1, runs on Python ints.
     """
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
-        seeds = np.array([_seed(s) for s in seeds], dtype=np.uint64)  # a uint64 array needs no check
-
     def hashmix(values, key):  # row i of values is hashed with key[i] and key[i + 1]
         values = values ^ key[:-1]
         values *= key[1:]
@@ -104,24 +104,6 @@ def _pcg64_states(seeds) -> list[dict]:
     return states
 
 
-def _raw_words(seeds, n: int):
-    """An iterator over the first n raw words of np.random.PCG64(s), for each seed s in turn.
-
-    The seeds are checked and hashed at once; each draw sets its seed's state
-    on the thread's one reused PCG64.
-    """
-    states = _pcg64_states(seeds)
-    try:
-        bitgen = _reused.pcg64
-    except AttributeError:
-        bitgen = _reused.pcg64 = np.random.PCG64(0)
-
-    def draw(state):
-        bitgen.state = state
-        return bitgen.random_raw(n)
-    return map(draw, states)
-
-
 def _standard_normal(raw: np.ndarray) -> np.ndarray:
     """Inverse-CDF normals from raw PCG64 words, computed in their own memory.
 
@@ -136,6 +118,26 @@ def _standard_normal(raw: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+def _increments(seeds, dt: float, rows: np.ndarray) -> np.ndarray:
+    """Fill rows, C-contiguous float64 of shape (len(seeds), n + 1), with W(0) = 0 and then n N(0, dt)
+    increments of each seed of the 1-d uint64 array seeds, by the module docstring's method; return rows.
+
+    Raw words, normals and increments share rows' memory in turn.
+    """
+    try:
+        bitgen = _reused.pcg64
+    except AttributeError:
+        bitgen = _reused.pcg64 = np.random.PCG64(0)
+    for row, state in zip(rows[:, 1:].view(np.uint64), _pcg64_states(seeds), strict=True):
+        bitgen.state = state
+        row[:] = bitgen.random_raw(len(row))
+    # elementwise over rows' memory as one block, each row's first value included (a stray word until zeroed)
+    z = _standard_normal(rows.reshape(-1)[1:].view(np.uint64))
+    z *= math.sqrt(dt)
+    rows[:, 0] = 0.0
+    return rows
+
+
 def generate_path(seed, t_end: float, n_fine: int, out=None) -> np.ndarray:
     """Sample seeded Wiener paths with n_fine increments on [0, t_end].
 
@@ -145,19 +147,13 @@ def generate_path(seed, t_end: float, n_fine: int, out=None) -> np.ndarray:
     [0, 2^64), not a bool, as every entry of a 1-d uint64 array is. The nodes
     go to out if given, under the kernels' buffer rule (model._buffer).
     """
-    scale = math.sqrt(_step_size(t_end, n_fine))
+    dt = _step_size(t_end, n_fine)
     single = np.ndim(seed) == 0
     seeds = [seed] if single else seed
-    words = _raw_words(seeds, n_fine)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        seeds = np.array([_seed(s) for s in seeds], dtype=np.uint64)  # a uint64 array needs no check
     w = _buffer(out, (n_fine + 1,) if single else (len(seeds), n_fine + 1))
-    rows = w[None] if single else w
-    # raw words, normals, increments and nodes share w's memory in turn
-    for row, row_words in zip(rows[:, 1:].view(np.uint64), words):
-        row[:] = row_words
-    # elementwise over w's memory as one block, each row's first node included (a stray word until zeroed)
-    z = _standard_normal(w.reshape(-1)[1:].view(np.uint64))
-    z *= scale
-    rows[:, 0] = 0.0
+    rows = _increments(seeds, dt, w[None] if single else w)
     np.cumsum(rows[:, 1:], axis=-1, out=rows[:, 1:])
     return w
 

@@ -45,7 +45,7 @@ from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
 # its study's workspace and buffers. With temporaries and the chunk of text being written, peak
-# RSS grew 1.25x the count for stability, 1.4x for simulate, 5.5x for local-error, 1.1-1.5x for converge
+# RSS grew 1.25x the count for stability, 1.4x for simulate, 2.0x for local-error, 1.1-1.5x for converge
 MAX_VALUES = 1 << 26
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from qpisde import InvalidInputError, brownian, coarsen, generate_path, mix_seed
-from qpisde.brownian import _pcg64_states, _raw_words, _standard_normal
+from qpisde.brownian import _pcg64_states, _standard_normal
 
 
 def path_from_increments(increments):
@@ -244,9 +244,9 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 def assert_states_and_draws_match(seeds):
-    assert _pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
-    for s, words in zip(seeds, _raw_words(seeds, 64), strict=True):
-        assert np.array_equal(words, np.random.PCG64(s).random_raw(64))
+    assert _pcg64_states(np.array(seeds, dtype=np.uint64)) == [np.random.PCG64(s).state for s in seeds]
+    for row, s in zip(generate_path(seeds, 1.0, 64), seeds, strict=True):
+        assert np.array_equal(row.view(np.uint64), documented_path(s, 1.0, 64).view(np.uint64))
 
 
 def test_batched_pcg64_states_at_word_edges():

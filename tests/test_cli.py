@@ -187,6 +187,19 @@ class TestLocalError:
     def test_empty_dt_list(self, capsys):
         assert exit_code(["local-error", "--dt-list", ""]) == 2
 
+    def test_bytes_independent_of_block_size(self, monkeypatch, capsysbinary):
+        # the errors are computed in blocks of samples, but their mean is one sum over all of them
+        argv = ["local-error", "--dt-list", "0.25,0.125", "--samples", "1000"]
+        assert main(argv) == 0
+        reference = capsysbinary.readouterr().out
+        blocks, alpha_beta = [], analysis._qpi_alpha_beta
+        monkeypatch.setattr(analysis, "_qpi_alpha_beta",
+                            lambda *args: blocks.append(len(args[-1])) or alpha_beta(*args))
+        monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 300)
+        assert main(argv) == 0
+        assert blocks == [300, 300, 300, 100] * 2
+        assert capsysbinary.readouterr().out == reference
+
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["local-error", "--dt-list", "0.25,0.125", "--samples", "500",
@@ -463,8 +476,8 @@ print(json.dumps(results))
 """
 
 
-# Runs each measured argv after a tiny run of every command, and prints the growth
-# of the process's peak RSS over each run (VmHWM after, less VmRSS before) as a
+# Runs the measured argv after a tiny run of its command, and prints the growth of
+# the process's peak RSS over the run (VmHWM after, less VmRSS before) as a
 # multiple of the float64 values the run counts. ru_maxrss is not used: a child
 # process starts with its parent's peak in it.
 MEMORY_SCRIPT = """
@@ -473,15 +486,11 @@ import qpisde.cli
 def kib(key):
     with open("/proc/self/status") as fh:
         return int(re.search(key + r":\\s+(\\d+) kB", fh.read())[1])
-out, runs = sys.argv[1], json.loads(sys.argv[2])
-for warm, _, _ in runs:
-    qpisde.cli.main(warm + ["-o", out])
-growth = []
-for _, argv, values in runs:
-    before = kib("VmRSS")
-    qpisde.cli.main(argv + ["-o", out])
-    growth.append(1024 * (kib("VmHWM") - before) / (8 * values))
-print(json.dumps(growth))
+out, (warm, argv, values) = sys.argv[1], json.loads(sys.argv[2])
+qpisde.cli.main(warm + ["-o", out])
+before = kib("VmRSS")
+qpisde.cli.main(argv + ["-o", out])
+print(1024 * (kib("VmHWM") - before) / (8 * values))
 """
 
 
@@ -515,12 +524,15 @@ class TestWorkSize:
                 (["stability", "--grid", "4", "--scheme", "qpi-exact"],
                  ["stability", "--grid", "1000", "--scheme", "qpi-exact"], 1000 * 1000),
                 (["simulate", "--paths", "2", "--n", "4"],
-                 ["simulate", "--paths", "1000", "--n", "1000"], 1000 * 1001)]
-        done = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT, str(tmp_path / "out"), json.dumps(runs)],
-                              env={**os.environ, "PYTHONPATH": str(SRC)},
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        growth = json.loads(done.stdout)
+                 ["simulate", "--paths", "1000", "--n", "1000"], 1000 * 1001),
+                (["local-error", "--samples", "10"], ["local-error", "--samples", "500000"], 2 * 500000)]
+        growth = []
+        for run in runs:  # each in a process of its own: a run reuses the pages an earlier one freed
+            done = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT, str(tmp_path / "out"), json.dumps(run)],
+                                  env={**os.environ, "PYTHONPATH": str(SRC)},
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            growth.append(float(done.stdout))
         assert max(growth) <= 3, [f"{argv[:2]}: {g:.1f}x" for (_, argv, _), g in zip(runs, growth)]
 
     def test_budget_edge(self):
