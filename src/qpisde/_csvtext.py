@@ -18,8 +18,9 @@ the significand (NUL if a trailing zero after the point), the sign or point
 A chunk is laid out whole in the layout of its most common x, one table
 lookup, copy or fill per row; values of any other x get planes of their own.
 A field is _WIDTH bytes: the text, padding bytes around it (NUL, or spaces after
-a fallback text; a number's text holds none) and a last byte for the separator.
-`join` deletes the padding and yields the text in ASCII chunks, never one buffer.
+a fallback text; a number's text holds none) and a comma as its last byte. `join`
+is the one loop over CSV chunks: it ends each line with a newline in place of its
+last byte, deletes the padding and yields the text in ASCII chunks, never one buffer.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _block_rows(values_per_row: int) -> int:
     """Rows in a block of batched work: as many as hold _BATCH_VALUES values, at least one."""
     return max(1, _BATCH_VALUES // values_per_row)
 
-# the longest "%.17g" text is 24 bytes (-2.2250738585072014e-308), then a separator
+# the longest "%.17g" text is 24 bytes (-2.2250738585072014e-308), then a comma
 _WIDTH = 25
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles up to 1e22
@@ -52,19 +53,19 @@ def _group_tables():
 
 
 # a field byte holds digit 0-16 of the significand, the sign, the point, or a constant
-_SIGN, _DOT, _NUL, _CONSTANTS = 17, 18, 19, b"\0" b"0.e-56"  # constants from _NUL on
+_SIGN, _DOT, _NUL, _CONSTANTS = 17, 18, 19, b"\0" b"0.e-56,"  # constants from _NUL on
 
 
 def _layout(x):
     """What each field byte holds, for exponent x in [-6, 16]."""
-    zero, point, e, minus, five = range(_NUL + 1, _NUL + 6)
+    zero, point, e, minus, five, _, comma = range(_NUL + 1, _NUL + 8)
     if x >= 0:  # 123.45
         text = [*range(x + 1), _DOT, *range(x + 1, 17)]
     elif x >= -4:  # 0.0012345
         text = [zero, point] + [zero] * (-x - 1) + [*range(17)]
     else:  # 1.2345e-05
         text = [0, _DOT, *range(1, 17), e, minus, zero, five + (-5 - x)]
-    return [_SIGN] + text + [_NUL] * (_WIDTH - 1 - len(text))
+    return [_SIGN] + text + [_NUL] * (_WIDTH - 2 - len(text)) + [comma]
 
 
 _LAYOUTS = [_layout(x) for x in range(-6, 17)]
@@ -113,7 +114,7 @@ def _significand(flat):
 
 
 def fields(values) -> np.ndarray:
-    """The `"%.17g"` text of each value as a field: uint8, shape values.shape + (_WIDTH,)."""
+    """The `"%.17g"` text of each value as a field ending in a comma: uint8, shape values.shape + (_WIDTH,)."""
     flat = np.asarray(values, dtype=float).ravel()
     _, last4 = _group_tables()
     x, ok, q = _significand(flat)
@@ -138,24 +139,24 @@ def fields(values) -> np.ndarray:
             at = np.flatnonzero(cls == c)
             out[at] = _plane(c - 6, [col[at] for col in columns]).T
     slow = np.flatnonzero(~ok)
-    if slow.size:  # one % for all of them, each padded with spaces to _WIDTH - 1 bytes, then NUL
-        text = ("%-24.17g\0" * slow.size % tuple(flat[slow].tolist())).encode("ascii")
+    if slow.size:  # one % for all of them, each padded with spaces to _WIDTH - 1 bytes, then a comma
+        text = ("%-24.17g," * slow.size % tuple(flat[slow].tolist())).encode("ascii")
         out[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
     return out.reshape(np.shape(values) + (_WIDTH,))
 
 
-def join(header: str, n_rows: int, n_fields: int, block):
-    """Yield a CSV of n_rows rows of n_fields fields each as ASCII bytes: the
+def join(header: str, n_rows: int, n_values: int, block):
+    """Yield a CSV of n_rows rows of n_values values each as ASCII bytes: the
     header line, then one item per chunk of rows, each built when it is asked for.
 
-    block(rows) gives the fields of a slice of rows, as `fields` makes them:
-    uint8, shape (rows, n_fields, _WIDTH). It is called on consecutive slices
-    of _block_rows(n_fields) rows, bounding the memory.
+    block(rows) gives the lines of a slice of rows: uint8 whose last axis is one
+    line, fields as `fields` makes them end to end; the newline goes over its last
+    byte. It is called on consecutive slices of _block_rows(n_values) rows,
+    bounding the memory.
     """
     yield (header + "\n").encode("ascii")
-    step = _block_rows(n_fields)
+    step = _block_rows(n_values)
     for start in range(0, n_rows, step):
         chunk = block(slice(start, min(start + step, n_rows)))
-        chunk[:, :-1, -1] = ord(",")
-        chunk[:, -1, -1] = ord("\n")
+        chunk[..., -1] = ord("\n")
         yield chunk.tobytes().translate(None, b"\0 ")

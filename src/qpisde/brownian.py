@@ -30,6 +30,7 @@ import threading
 
 import numpy as np
 
+from ._csvtext import _block_rows
 from .errors import InvalidInputError
 from .model import _buffer, _step_size
 
@@ -112,7 +113,9 @@ def _standard_normal(raw: np.ndarray) -> np.ndarray:
     is clamped to 1 - 2^-53. The result is a float64 view of raw.
     """
     from scipy.special import ndtri  # ~0.3 s to import; only normal draws need it
-    u = np.add(np.right_shift(raw, 11, out=raw), 0.5, out=raw.view(np.float64))
+    u = raw.view(np.float64)
+    u[...] = np.right_shift(raw, 11, out=raw)  # cast in place: np.add(raw, 0.5, out=u) copies raw first
+    u += 0.5
     u /= float(1 << 53)
     np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u)
@@ -122,15 +125,18 @@ def _increments(seeds, dt: float, rows: np.ndarray) -> np.ndarray:
     """Fill rows, C-contiguous float64 of shape (len(seeds), n + 1), with W(0) = 0 and then n N(0, dt)
     increments of each seed of the 1-d uint64 array seeds, by the module docstring's method; return rows.
 
-    Raw words, normals and increments share rows' memory in turn.
+    Raw words, normals and increments share rows' memory in turn; a row's words are
+    copied in from pieces of at most _block_rows(1) words.
     """
     try:
         bitgen = _reused.pcg64
     except AttributeError:
         bitgen = _reused.pcg64 = np.random.PCG64(0)
+    piece = _block_rows(1)  # the PCG64 stream goes on across random_raw calls
     for row, state in zip(rows[:, 1:].view(np.uint64), _pcg64_states(seeds), strict=True):
         bitgen.state = state
-        row[:] = bitgen.random_raw(len(row))
+        for start in range(0, len(row), piece):
+            row[start:start + piece] = bitgen.random_raw(min(piece, len(row) - start))
     # elementwise over rows' memory as one block, each row's first value included (a stray word until zeroed)
     z = _standard_normal(rows.reshape(-1)[1:].view(np.uint64))
     z *= math.sqrt(dt)

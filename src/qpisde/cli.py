@@ -6,25 +6,8 @@ Subcommands:
     stability   (mu, dt) stability-region scan at fixed sigma
     local-error mean-square one-block error vs. dt, with fitted slope
 
-Every subcommand is deterministic for fixed flags and seed. Flags override
-an optional `key=value` config file (--config), which overrides built-in
-defaults; the defaults mirror the reference experiment settings
-(mu=-1, sigma=0.5, x0=1, T=1). A config key is a long flag name of the
-subcommand, or an error naming the file and the key; each line is spliced
-into argv as `--key=value` right after the subcommand word. argparse alone
-reads argv: a word starting -digit, -.digit, -inf or -nan is a value, after
-any flag (-o too). A flag's type or choices check its value, so a bad value
-fails in one line naming the flag, e.g. `argument --format: invalid choice:
-'png'`; the library checks --scheme and --schemes before any draw. `stability`
-takes --sigma but not --mu or --x0, and accepts --seed without using it.
-
-A command whose main arrays would hold more than MAX_VALUES float64 values
-exits 2, naming its size flags, before it draws or allocates anything. Every writer
-yields ASCII chunks, each written as it is built; a regular -o file is replaced by a
-temp file only once all are written, so a run that fails leaves it as it was.
-
-Every failure is one stderr line, `qpisde <sub>: error: <message>`, and `main`
-exits as argparse does: 2 for bad input, 1 for IO or memory; success returns 0.
+README's CLI section holds the rules: defaults and config splicing, negative
+values, the checks and the work-size budget, output routes and exit codes.
 """
 
 from __future__ import annotations
@@ -44,8 +27,9 @@ from .model import GbmParams, exact_solution
 from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
-# its study's workspace and buffers. With temporaries and the chunk of text being written, peak
-# RSS grew 1.25x the count for stability, 1.4x for simulate, 2.0x for local-error, 1.1-1.5x for converge
+# its study's workspace and buffers. With temporaries and the chunk of text being written, peak RSS
+# grew 1.28x the count for stability, 1.1x for local-error (1.5x at 1M values), 1.1-1.5x for converge
+# and 1.4x for simulate (2.5x at 1M values: ~11 MiB of chunk temporaries plus 1.04x the count)
 MAX_VALUES = 1 << 26
 
 
@@ -176,8 +160,8 @@ def cmd_simulate(args) -> None:
         header = "t," + ",".join(f"path_{k + 1}" for k in range(n_paths))
     _require_finite(columns, "simulated trajectory")
     t = np.linspace(0.0, t_end, n + 1)
-    _write_output(args.output, _csvtext.join(header, n + 1, len(columns) + 1, lambda rows:
-                  _csvtext.fields(np.column_stack((t[rows], columns[:, rows].T)))))
+    _write_output(args.output, _csvtext.join(header, n + 1, len(columns) + 1, lambda rows: _csvtext.fields(
+        np.column_stack((t[rows], columns[:, rows].T))).reshape(len(t[rows]), -1)))  # one line per node
 
 
 def cmd_converge(args) -> None:

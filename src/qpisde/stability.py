@@ -158,30 +158,18 @@ def region_to_csv(grid: RegionGrid):
     """Yield the `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, as
     ASCII bytes: the header line, then one item per chunk of whole mu rows of at most
     65,536 values (_csvtext._BATCH_VALUES), at least one mu row, each built when asked for."""
-    def narrow(txt):  # each field cut to the widest text on its axis, then a comma
-        width = np.flatnonzero(((txt != 0) & (txt != ord(" "))).any(0))[-1] + 1
-        out = txt[:, :width + 1].copy()
-        out[:, width] = ord(",")
-        return out
-
-    yield b"mu,dt,lhs,stable\n"
+    w = _csvtext._WIDTH
     # each axis value is formatted once; a chunk broadcasts them over its cells
-    mu_txt, dt_txt = narrow(_csvtext.fields(grid.mu_axis)), narrow(_csvtext.fields(grid.dt_axis))
-    stable = np.asarray(grid.verdicts, dtype=bool).view(np.uint8)
-    verdict_txt = np.frombuffer(b"0\n1\n", dtype=np.uint8).reshape(2, 2)
-    # a cell's bytes: its mu and dt texts, its lhs field, then "0\n" or "1\n"
-    a, b = mu_txt.shape[1], mu_txt.shape[1] + dt_txt.shape[1]
-    c = b + _csvtext._WIDTH
-    step = _csvtext._block_rows(4 * len(dt_txt))  # a cell is 4 CSV values, as in region_scan
-    for start in range(0, len(mu_txt), step):
-        rows = slice(start, start + step)
-        chunk = np.empty(stable[rows].shape + (c + 2,), dtype=np.uint8)
-        chunk[..., :a] = mu_txt[rows, None]
-        chunk[..., a:b] = dt_txt
-        chunk[..., b:c] = _csvtext.fields(np.where(np.isfinite(grid.lhs[rows]), grid.lhs[rows], np.nan))
-        chunk[..., c - 1] = ord(",")
-        chunk[..., c:] = verdict_txt[stable[rows]]
-        yield chunk.tobytes().translate(None, b"\0 ")
+    mu_txt, dt_txt = _csvtext.fields(grid.mu_axis), _csvtext.fields(grid.dt_axis)
+
+    def block(rows):  # a cell's line: its mu, dt and lhs fields, its verdict digit, a byte for the newline
+        lhs = grid.lhs[rows]
+        line = np.empty(lhs.shape + (3 * w + 2,), dtype=np.uint8)
+        line[..., :w], line[..., w:2 * w] = mu_txt[rows, None], dt_txt
+        line[..., 2 * w:3 * w] = _csvtext.fields(np.where(np.isfinite(lhs), lhs, np.nan))
+        line[..., 3 * w] = np.where(grid.verdicts[rows], ord("1"), ord("0"))
+        return line
+    return _csvtext.join("mu,dt,lhs,stable", len(mu_txt), 4 * len(dt_txt), block)  # 4 values a cell
 
 
 def region_to_svg(grid: RegionGrid):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qpisde import _csvtext
+from same_text import assert_same_text
 
 
 def reference(values):
@@ -16,10 +17,10 @@ def reference(values):
 
 
 def texts(fields):
-    """The text of each field: its bytes without the padding."""
+    """The text of each field: its bytes before the comma, without the padding."""
     rows = fields.reshape(-1, fields.shape[-1])
-    assert (rows[:, -1] == 0).all()  # the separator byte is left free
-    return [bytes(r).translate(None, b"\0 ").decode("ascii") for r in rows]
+    assert (rows[:, -1] == ord(",")).all()  # every field ends in its comma
+    return [bytes(r[:-1]).translate(None, b"\0 ").decode("ascii") for r in rows]
 
 
 def ties(rng):
@@ -82,6 +83,11 @@ def csv_reference(header, table):
     return header + "\n" + "".join(",".join(reference(row)) + "\n" for row in table)
 
 
+def lines(table):
+    """The fields of a table's rows as `join` takes them: one line per row."""
+    return _csvtext.fields(table).reshape(len(table), -1)
+
+
 def text(chunks):
     """The text of `join`'s chunks: their ASCII bytes in order."""
     return b"".join(chunks).decode("ascii")
@@ -98,12 +104,12 @@ def test_join_equals_percent_format(table):
 
     def block(r):
         chunks.append(r.stop - r.start)
-        return _csvtext.fields(table[r])
+        return lines(table[r])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_csvtext, "_BATCH_VALUES", 7)
         out = list(_csvtext.join("a,b", rows, cols, block))
-    assert text(out) == csv_reference("a,b", table)
+    assert_same_text(text(out), csv_reference("a,b", table))
     assert chunks == [min(step, rows - start) for start in range(0, rows, step)]
 
 
@@ -113,8 +119,8 @@ def test_join_fixed_sample(cols, monkeypatch):
     table = sample()[:199_999 // cols * cols].reshape(-1, cols)
     rows = table.shape[0]
     assert rows % (1000 // cols) != 0
-    chunks = _csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r]))
-    assert text(chunks) == csv_reference("h", table)
+    chunks = _csvtext.join("h", rows, cols, lambda r: lines(table[r]))
+    assert_same_text(text(chunks), csv_reference("h", table))
 
 
 # One value of each kind the kernel leaves to `%`: zeros, nan, infinities,
@@ -150,6 +156,15 @@ def majority_share(values, major):
     return (~np.isin(x, np.arange(-6, 17)) if major is None else x == major).mean()
 
 
+def test_every_field_ends_in_its_one_comma():
+    # numbers of every exponent and every kind of fallback text, which `%` pads with spaces
+    rng = np.random.default_rng(5)
+    values = np.concatenate([sample(), FALLBACK, *(majority_chunk(m, rng) for m in (-6, 0, 16, None))])
+    fields = _csvtext.fields(values).reshape(-1, _csvtext._WIDTH)
+    assert (fields[:, -1] == ord(",")).all()
+    assert not (fields[:, :-1] == ord(",")).any()
+
+
 @pytest.mark.parametrize("major", [*range(-6, 17), None])
 def test_fields_with_a_majority_exponent(major):
     values = majority_chunk(major, np.random.default_rng(99 if major is None else major + 6))
@@ -167,9 +182,9 @@ def test_join_chunks_with_different_majorities(monkeypatch):
 
     def block(rows):
         shares.append(majority_share(table[rows], majors[len(shares)]))
-        return _csvtext.fields(table[rows])
+        return lines(table[rows])
 
-    assert text(_csvtext.join("a,b,c", len(table), 3, block)) == csv_reference("a,b,c", table)
+    assert_same_text(text(_csvtext.join("a,b,c", len(table), 3, block)), csv_reference("a,b,c", table))
     assert len(shares) == len(majors) and min(shares) > 0.5
 
 
@@ -177,7 +192,7 @@ def test_join_builds_each_chunk_when_asked(monkeypatch):
     # 3 chunks of one row: nothing is built for the header, then one chunk per item taken
     monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 2)
     table, built = np.arange(6.0).reshape(3, 2), []
-    chunks = _csvtext.join("a,b", 3, 2, lambda r: built.append(r.start) or _csvtext.fields(table[r]))
+    chunks = _csvtext.join("a,b", 3, 2, lambda r: built.append(r.start) or lines(table[r]))
     assert next(chunks) == b"a,b\n" and built == []
     assert next(chunks) == b"0,1\n" and built == [0]
     assert list(chunks) == [b"2,3\n", b"4,5\n"] and built == [0, 1, 2]
@@ -189,11 +204,11 @@ def test_join_hands_out_one_item_per_chunk(cols, monkeypatch):
     monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 1000)
     table = sample()[:5000 // cols * cols].reshape(-1, cols)
     rows = table.shape[0]
-    chunks = list(_csvtext.join("h", rows, cols, lambda r: _csvtext.fields(table[r])))
+    chunks = list(_csvtext.join("h", rows, cols, lambda r: lines(table[r])))
     step = 1000 // cols or 1
     assert chunks[0] == b"h\n" and len(chunks) == 1 + -(-rows // step)
     for start, chunk in zip(range(0, rows, step), chunks[1:]):
         assert type(chunk) is bytes and chunk.endswith(b"\n")
         assert chunk.count(b"\n") == min(step, rows - start)
         assert len(chunk) <= max(1000, cols) * _csvtext._WIDTH
-    assert text(chunks) == csv_reference("h", table)
+    assert_same_text(text(chunks), csv_reference("h", table))

@@ -3,7 +3,8 @@
 Seeded draws can move; the exact values cannot. Each Monte Carlo mean must
 lie within 4 standard errors of its exact value: the mean and mean square of
 X_N, and the mean of l2^2 from error_norms, whose cross moment separates
-milstein from milstein-paper.
+milstein from milstein-paper. The seed-free companions of acceptance criteria
+3, 4 and 8 hold the exact RMS errors to the same bands as the Monte Carlo ones.
 """
 
 import functools
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from exact_moments import exact_moments
+from exact_moments import exact_moments, node_moments
 from qpisde import (GbmParams, SchemeId, coarsen, error_norms, exact_solution, generate_path, integrate,
                     mix_seed)
 
@@ -35,3 +36,45 @@ def test_monte_carlo_moments_match_exact(scheme, n):
     for (what, v), exact in zip(samples.items(), exact_moments(scheme, P, T_END, n), strict=True):
         z = (v.mean() - exact) / (v.std(ddof=1) / math.sqrt(N_PATHS))
         assert abs(z) <= 4, f"{scheme} N={n} {what}: Monte Carlo {v.mean():.6g}, exact {exact:.6g}, z={z:.1f}"
+
+
+N_LIST = [4, 16, 64, 256, 1024]  # criteria 3 and 4's ladder
+
+
+def order(ns, errors):
+    """Least-squares slope of log(error) against log(1/n)."""
+    return np.polyfit(np.log(1.0 / np.asarray(ns, dtype=float)), np.log(errors), 1)[0]
+
+
+def rms_l2(scheme, n):
+    return math.sqrt(exact_moments(scheme, P, T_END, n)[2])
+
+
+def test_exact_qpi_l2_order_is_one_half():  # criterion 3's band
+    assert 0.4 <= order(N_LIST, [rms_l2("qpi", n) for n in N_LIST]) <= 0.7
+
+
+def test_exact_qpi_iem_ratio_tends_to_sqrt_2():  # criterion 4's band
+    ratios = {n: rms_l2("qpi", n) / rms_l2("iem", n) for n in N_LIST if n >= 16}
+    assert all(1.25 <= r <= 1.6 for r in ratios.values()), ratios
+    assert abs(ratios[1024] - math.sqrt(2)) <= 1e-3, ratios
+
+
+def test_exact_local_slope():  # criterion 8's dts and bound
+    dts = [2.0**-k for k in range(3, 9)]
+    mean_sq = []
+    for dt in dts:  # one block from x0: E delta^2 = x0^2 (E beta^2 + E Y^2 - 2 E[beta Y]) at t = 2 dt
+        _, square, cross = node_moments("qpi", P.mu, P.sigma, 2 * dt, 2)[:, -1]
+        mean_sq.append(P.x0**2 * (square + math.exp((2 * P.mu + P.sigma**2) * 2 * dt) - 2 * cross))
+    assert np.polyfit(np.log(dts), np.log(mean_sq), 1)[0] >= 0.85
+
+
+def test_exact_qpi_weak_orders():
+    # the mean has weak order 4, the second moment order 1; from N = 1024 on the
+    # mean's error (5e-14) is at the level of rounding, so the ladder stops at 256
+    ns = [16, 64, 256]
+    moments = [exact_moments("qpi", P, T_END, n) for n in ns]
+    mean = [abs(m - P.x0 * math.exp(P.mu * T_END)) for m, _, _ in moments]
+    square = [abs(m2 - P.x0**2 * math.exp((2 * P.mu + P.sigma**2) * T_END)) for _, m2, _ in moments]
+    assert order(ns, mean) == pytest.approx(4, abs=0.05)
+    assert order(ns, square) == pytest.approx(1, abs=0.05)

@@ -12,6 +12,7 @@ from qpisde import (GbmParams, InvalidInputError, RegionGrid, SchemeId, Singular
                     qpi_exact_amplification, qpi_paper_lhs, region_scan,
                     region_to_csv, region_to_svg)
 from qpisde.schemes import _one_step_multipliers, _qpi_alpha_beta
+from same_text import assert_same_text
 
 
 def paper_lhs_reference(mu, sigma, dt):
@@ -329,7 +330,7 @@ class TestWritersMatchPerCellReference:
     @given(grid=region_grids())
     @example(grid=FIXED_GRID)
     def test_csv(self, grid):
-        assert b"".join(region_to_csv(grid)).decode("ascii") == csv_reference(grid)
+        assert_same_text(b"".join(region_to_csv(grid)).decode("ascii"), csv_reference(grid))
 
     @settings(max_examples=200, deadline=None)
     @given(grid=region_grids())
