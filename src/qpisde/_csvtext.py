@@ -11,16 +11,17 @@ Every other value (0, nan, inf, subnormals, |v| below ~1e-6 or from 1e17 up,
 and the rare value next to a power of ten for which x is not the exponent)
 goes through `"%.17g" %` itself, so the reference is also the fallback.
 
-Text is laid out in a plane, uint8 of shape (_WIDTH, values), whose row j
-holds byte j of every field; the layout of exponent x says what: a digit of
-the significand (NUL if a trailing zero after the point), the sign or point
-(NUL if absent), or a constant byte ('0', '.', 'e', '-', '5', '6', padding).
-A chunk is laid out whole in the layout of its most common x, one table
-lookup, copy or fill per row; values of any other x get planes of their own.
-A field is _WIDTH bytes: the text, padding bytes around it (NUL, or spaces after
-a fallback text; a number's text holds none) and a comma as its last byte. `join`
-is the one loop over CSV chunks: it ends each line with a newline in place of its
-last byte, deletes the padding and yields the text in ASCII chunks, never one buffer.
+Each field is written in place into the row-major (values, _WIDTH) output as
+little-endian 32-bit words: [sign, NUL, d0, point], or [sign, '0', '.', d0] for
+x in [-4, -1], then q's four 4-digit groups after d0, each a table lookup. A
+group followed only by 0000 groups comes from the table's second half, where its
+trailing zeros are NUL, and then the point is dropped too. That is the text of
+x = 0 and -1. Any other x is a byte move on it, over whole-chunk slices for a
+chunk's most common x and over gathered rows for the others: the point moves
+right past x digits (x >= 1), -x - 1 zeros go in before d0 (x in [-4, -2]), or
+`e-05` or `e-06` goes into bytes 20-23. The field ends in padding (NUL, or
+spaces after a fallback text) and a comma; `join`, the one loop over CSV chunks,
+puts a newline over each line's last byte and deletes the padding.
 """
 
 from __future__ import annotations
@@ -45,99 +46,98 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles up to 1e22
 
 @functools.cache  # built on first use: a run that writes no CSV never holds them
 def _group_tables():
-    """For each 4-digit group 0000-9999: the ASCII of its digit i, as row i of a
-    (4, 10000) table, and the position (1-4) of its last nonzero digit, -64 for 0000."""
-    digits = np.arange(10_000) // np.array([[1000], [100], [10], [1]]) % 10
-    last = np.where(digits.any(0), 4 - (digits[::-1] != 0).argmax(0), -64)
-    return (digits + ord("0")).astype(np.uint8), last.astype(np.int8)
-
-
-# a field byte holds digit 0-16 of the significand, the sign, the point, or a constant
-_SIGN, _DOT, _NUL, _CONSTANTS = 17, 18, 19, b"\0" b"0.e-56,"  # constants from _NUL on
-
-
-def _layout(x):
-    """What each field byte holds, for exponent x in [-6, 16]."""
-    zero, point, e, minus, five, _, comma = range(_NUL + 1, _NUL + 8)
-    if x >= 0:  # 123.45
-        text = [*range(x + 1), _DOT, *range(x + 1, 17)]
-    elif x >= -4:  # 0.0012345
-        text = [zero, point] + [zero] * (-x - 1) + [*range(17)]
-    else:  # 1.2345e-05
-        text = [0, _DOT, *range(1, 17), e, minus, zero, five + (-5 - x)]
-    return [_SIGN] + text + [_NUL] * (_WIDTH - 2 - len(text)) + [comma]
-
-
-_LAYOUTS = [_layout(x) for x in range(-6, 17)]
-
-
-def _plane(x, columns):
-    """The fields of values of exponent x as a plane, from their columns: digit groups
-    (digit 0 as 000d, then 4 digits each), count of digits shown, sign and point."""
-    digits, _ = _group_tables()
-    *groups, shown, sign, dot = columns
-    plane = np.empty((_WIDTH, len(shown)), dtype=np.uint8)
-    for row, s in zip(plane, _LAYOUTS[x + 6]):
-        if s < _SIGN:  # digit s: position (s + 3) % 4 of group (s + 3) // 4
-            np.take(digits[(s + 3) % 4], groups[(s + 3) // 4], out=row, mode="clip")
-            if s > x:  # after the point: NUL if it is a trailing zero
-                row *= shown > s
-        else:
-            row[...] = (sign, dot, *_CONSTANTS)[s - _SIGN]
-    return plane
+    """Words of four ASCII bytes in text order, read as little-endian uint32: each 4-digit group
+    g, then g with its trailing zeros as NUL at 10,000 + g; and word 0 of a field, at entry
+    d0 + 10 * (no digit after d0 is shown) + 20 * (x in [-4, -1]) + 40 * (v < 0)."""
+    chars = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    shown = np.logical_or.accumulate(chars[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    heads = [[sign, ord("0"), ord("."), digit] if lead else [sign, 0, digit, ord(".") * (1 - cut)]
+             for sign in (0, ord("-")) for lead in (0, 1) for cut in (0, 1) for digit in b"0123456789"]
+    return np.concatenate([chars, chars * shown]).view("<u4")[:, 0], np.array(heads, np.uint8).view("<u4")[:, 0]
 
 
 def _scaled(a, x):
-    """(p, err) with p + err == a * 10**(16 - x) exactly, for x in [-6, 16] (Dekker)."""
+    """(p, err) with p + err == a * 10**(16 - x) exactly, for x in [-6, 16] (Dekker); a is overwritten."""
     b = _POW10.take((16 - x).astype(np.intp), mode="clip")
     p = a * b
-    ca, cb = a * 134217729.0, b * 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    ah, bh = a * 134217729.0, b * 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+    ah -= ah - a
+    bh -= bh - b
+    a -= ah  # a and b become the low halves al and bl
+    b -= bh
+    err = ah * bh - p  # then + ah * bl + al * bh + al * bl, in that order, in place
+    err += np.multiply(ah, b, out=ah)
+    err += np.multiply(bh, a, out=bh)
+    err += np.multiply(a, b, out=a)
+    return p, err
+
+
+def _divmod(a, d):
+    """a // d and a % d for nonnegative integers: numpy's divmod has no fast loop for them."""
+    quotient = a // d
+    return quotient, a - quotient * d
 
 
 def _significand(flat):
-    """(x, ok, q): x = floor(log10 |v|) and q its 17-digit significand where ok, else x = -7."""
-    with np.errstate(all="ignore"):  # 0, nan and inf fail the range test below
-        a = np.abs(flat)
-        lg = np.log10(a)
-        x = np.where(np.isfinite(lg), np.floor(lg), 99.0)
-        p, err = _scaled(a, x)
-        r = np.rint(err)
+    """(x, ok, digits): x = floor(log10 |v|) and the digits of its 17-digit significand q
+    where ok, else x = -7: uint32 columns of q's first digit, then of its four 4-digit groups."""
+    with np.errstate(all="ignore"):
+        # numpy's log10 may be an ulp off and differ by host (its SIMD loops), but no byte
+        # depends on it: every x is tested below, and a value whose x fails goes to `%`
+        x = np.floor(np.log10(np.abs(flat)))  # not finite for 0, nan, inf: they fail the test below
+        p, err = _scaled(np.abs(flat), x)
         # x is the exponent iff 1e16 <= p + err and q = p + r < 1e17; next to a power of
         # ten, log10 can be one off or q can round up to 1e17: those go to the fallback
+        r = np.rint(err)
         ok = ((x >= -6) & (x <= 16) & ((p > 1e16) | ((p == 1e16) & (err >= 0)))
               & ((p < 1e17) | ((p == 1e17) & (r < 0))))
-        p, r, x = np.where(ok, p, 1e16), np.where(ok, r, 0.0), np.where(ok, x, -7.0).astype(np.int8)
-    return x, ok, p.astype(np.int64) + r.astype(np.int64)
+        p[~ok], r[~ok], x[~ok] = 1e16, 0.0, -7.0
+    q = p.astype(np.int64)
+    q += r.astype(np.int8)  # |r| <= 8, half an ulp of 1e17
+    hi, lo = (h.astype("<u4") for h in _divmod(q, 10**8))  # then uint32: fast loops, half the bytes
+    d0, hi = _divmod(hi, np.uint32(10**8))
+    return x.astype(np.int8), ok, (d0, *_divmod(hi, np.uint32(10**4)), *_divmod(lo, np.uint32(10**4)))
+
+
+def _move(rows, x, at=slice(None)):
+    """Move fields rows[at] of exponent x from the layout of x = 0 or -1 to their own."""
+    if x >= 1:  # the point moves right past x digits, which keep their zeros
+        point = (rows[at, 4 + x] != 0) * ord(".")  # kept if a digit after it is
+        rows[at, 3:3 + x] = rows[at, 4:4 + x] | ord("0")
+        rows[at, 3 + x] = point
+    elif -4 <= x <= -2:  # -x - 1 zeros go in before d0
+        rows[at, 2 - x:19 - x] = rows[at, 3:20]
+        rows[at, 3:2 - x] = ord("0")
+    elif x in (-5, -6):
+        rows[at, 20:24] = np.frombuffer(b"e-0%d" % -x, dtype=np.uint8)
 
 
 def fields(values) -> np.ndarray:
     """The `"%.17g"` text of each value as a field ending in a comma: uint8, shape values.shape + (_WIDTH,)."""
     flat = np.asarray(values, dtype=float).ravel()
-    _, last4 = _group_tables()
-    x, ok, q = _significand(flat)
-    d0, q = np.divmod(q, 10**16)
-    hi, lo = np.divmod(q, 10**8)
-    groups = np.divmod(hi, 10**4) + np.divmod(lo, 10**4)
-    nd = np.ones(len(flat), dtype=np.int8)  # significant digits, trailing zeros dropped
-    for k, group in enumerate(groups):
-        np.maximum(nd, last4.take(group, mode="clip") + (4 * k + 1), out=nd)
-    # trailing zeros after the decimal point are dropped, those before it kept
-    shown = np.maximum(nd, x + 1)
-    sign = (flat < 0).view(np.uint8) * ord("-")
-    dot = (nd > np.maximum(x, 0) + 1).view(np.uint8) * ord(".")
-    columns = (d0, *groups, shown, sign, dot)
-    cls = x + 6  # -1 for the fallback
-    counts = np.bincount(cls + 1, minlength=24)[1:]
-    major = int(counts.argmax())
+    words, heads = _group_tables()
+    x, ok, (d0, *groups) = _significand(flat)
     out = np.empty((len(flat), _WIDTH), dtype=np.uint8)
-    out[...] = _plane(major - 6, columns).T  # every value, in the layout of the most common x
-    for c in np.flatnonzero(counts).tolist():
-        if c != major:
-            at = np.flatnonzero(cls == c)
-            out[at] = _plane(c - 6, [col[at] for col in columns]).T
+    out[:, 17:].view("<u8")[:, 0] = ord(",") << 56  # bytes 20-23 NUL, then the comma
+    word = out[:, :20].view("<u4")  # word k is bytes 4k to 4k + 3
+    cut = np.ones(len(flat), dtype=bool)  # every group after this one is 0000
+    for k in range(4, 0, -1):  # trailing zeros are cut, up to the last nonzero digit
+        g = groups[k - 1].astype(np.intp)
+        np.add(g, 10_000, out=g, where=cut)
+        word[:, k] = words.take(g)
+        cut &= groups[k - 1] == 0
+    head = d0.astype(np.uint8)
+    for on, step in ((cut, 10), ((x < 0) & (x >= -4), 20), (flat < 0, 40)):
+        head += on.view(np.uint8) * np.uint8(step)
+    word[:, 0] = heads.take(head.astype(np.intp))
+    # x = 0 and -1 are done; the most common x moves over the whole chunk, the rest in a copy
+    major = int(np.bincount(x + 7, minlength=24).argmax()) - 7
+    at = np.flatnonzero(ok & (x != major) & ((x < -1) | (x > 0) | (major not in (-7, -1, 0))))
+    rows, xs = out[at], x[at]
+    _move(out, major)  # none for x = -7, -1 or 0
+    for c in np.unique(xs).tolist():
+        _move(rows, c, np.flatnonzero(xs == c))
+    out[at] = rows
     slow = np.flatnonzero(~ok)
     if slow.size:  # one % for all of them, each padded with spaces to _WIDTH - 1 bytes, then a comma
         text = ("%-24.17g," * slow.size % tuple(flat[slow].tolist())).encode("ascii")

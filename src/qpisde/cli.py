@@ -29,7 +29,7 @@ from .schemes import SchemeId, integrate
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
 # its study's workspace and buffers. With temporaries and the chunk of text being written, peak RSS
 # grew 1.28x the count for stability, 1.1x for local-error (1.5x at 1M values), 1.1-1.5x for converge
-# and 1.4x for simulate (2.5x at 1M values: ~11 MiB of chunk temporaries plus 1.04x the count)
+# and 1.3x for simulate (2.3x at 1M values: ~10 MiB of chunk temporaries plus 1.0x the count)
 MAX_VALUES = 1 << 26
 
 

@@ -1,5 +1,9 @@
 """The CSV float writer against its specification, `"%.17g" % v` per value."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -77,6 +81,62 @@ def test_fields_keep_the_shape():
 @given(arrays(float, st.integers(1, 40), elements=st.floats()))
 def test_fields_equal_percent_format(values):
     assert texts(_csvtext.fields(values)) == reference(values)
+
+
+def significant_digits(text):
+    """The count of significant digits in a `%.17g` text of exponent -1 or 0."""
+    return len(text.lstrip("-").replace(".", "").lstrip("0"))
+
+
+@pytest.mark.parametrize("x", [-1, 0])
+def test_every_count_of_digits_at_x_minus_1_and_0(x):
+    # m / 2**k with m odd has k decimals, the last a 5: 1 to 17 significant digits, so the
+    # last digit shown, and with it the cut, falls in each of the five words of a field
+    rng = np.random.default_rng(11 + x)
+    values = []
+    for digits in range(1, 18):
+        k = digits - 1 - x
+        lo, hi = (2**k, 10 * 2**k) if x == 0 else (-(-2**k // 10), 2**k)
+        m = rng.integers(lo // 2, (hi + 1) // 2, 20) * 2 + 1
+        values.append(m[(lo <= m) & (m < hi)] / 2.0**k)
+    values = np.concatenate(values)
+    values = np.concatenate([values, -values])
+    expected = reference(values)
+    assert sorted({significant_digits(t) for t in expected}) == list(range(1, 18))
+    assert texts(_csvtext.fields(values)) == expected
+
+
+def test_neighbours_of_the_powers_where_the_layout_changes():
+    powers = np.array([0.1, 1.0, 10.0])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert texts(_csvtext.fields(values)) == reference(values)
+
+
+def test_word_table_holds_each_group_as_its_ascii_digits():
+    words, _ = _csvtext._group_tables()
+    assert words.dtype == np.dtype("<u4") and words.shape == (20_000,)
+    digits = [b"%04d" % g for g in range(10_000)]
+    assert words[:10_000].tobytes() == b"".join(digits)
+    assert words[10_000:].tobytes() == b"".join(d.rstrip(b"0").ljust(4, b"\0") for d in digits)
+
+
+# numpy picks its log10 loop by CPU; every exponent is verified, so the text does not depend on it
+HOST_SCRIPT = """
+from qpisde import _csvtext
+from test_csvtext import reference, sample, texts
+values = sample()
+assert texts(_csvtext.fields(values)) == reference(values)
+"""
+
+
+def test_text_without_the_avx512_loops():
+    tests = pathlib.Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    done = subprocess.run([sys.executable, "-c", HOST_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def csv_reference(header, table):
