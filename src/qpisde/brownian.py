@@ -17,31 +17,28 @@ a master seed and the path index with a splitmix64 mix.
 
 A seed is an integer in [0, 2^64). _increments is the one routine that turns
 seeds into increments, for generate_path and for analysis.local_error_study:
-the PCG64 states of a batch of seeds are computed in one numpy pass and equal
-np.random.PCG64(s).state (see _pcg64_states), each is set on the thread's
-reused PCG64 before its draw, and the words of all seeds become normals in
-one block.
+the SeedSequence words of a batch of seeds are hashed in one numpy pass (see
+_seed_words), numpy seeds each path's own PCG64 from its row of them, and the
+words of all seeds become normals in one block. No generator outlives a
+draw, so draws share no state across calls or threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
 from ._csvtext import _block_rows
 from .errors import InvalidInputError
-from .model import _buffer, _step_size
+from .model import _buffer, _count, _step_size
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 # numpy's SeedSequence: the running hash keys init * mult^i mod 2^32 of its pool (i <= 16)
 # and of its output (i <= 8), as uint32 columns, and its mix multipliers
 _POOL_KEYS, _OUT_KEYS = (np.array([init * mult**i & _MASK32 for i in range(count)], np.uint32)[:, None]
                          for init, mult, count in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_reused = threading.local()  # one PCG64 per thread; every draw sets its state first
 
 
 def _seed(s, what="seed") -> int:  # s as a Python int: an int in [0, 2^64), Python or numpy, not a bool
@@ -69,17 +66,17 @@ def mix_seed(master_seed: int, index):
     return z ^ z >> 31
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """The state of np.random.PCG64(s) for each seed s of a 1-d uint64 array, computed at once.
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64), the words PCG64(s) is seeded from, for each seed s
+    of a 1-d uint64 array at once: the rows of a C-contiguous (len(seeds), 4) uint64 array.
 
-    PCG64(s) hashes s through SeedSequence(s): its uint32 words fill a pool
-    of 4 words, the pool is mixed, and 8 words drawn from it give PCG64's
-    128-bit init and seq. A seed below 2^64 has one or two words, and a
-    missing high word hashes as the 0 it is padded with, so every seed takes
-    the same steps, done here once for all seeds as (low, high) words with
-    the hash keys built at import. The hash runs on arrays, as a numpy
-    uint32 scalar warns on overflow. PCG64's set-seed step, state = ((inc +
-    init) * M + inc) mod 2^128 with inc = 2 seq + 1, runs on Python ints.
+    SeedSequence(s) hashes the uint32 words of s into a pool of 4 words, mixes
+    the pool, and hashes 8 words out of it, pairs of which make the uint64
+    words. A seed below 2^64 has one or two words, and a missing high word
+    hashes as the 0 it is padded with, so every seed takes the same steps,
+    done here once for all seeds as (low, high) words with the hash keys
+    built at import. The hash runs on arrays, as a numpy uint32 scalar warns
+    on overflow.
     """
     def hashmix(values, key):  # row i of values is hashed with key[i] and key[i + 1]
         values = values ^ key[:-1]
@@ -94,15 +91,17 @@ def _pcg64_states(seeds: np.ndarray) -> list[dict]:
         hashed = hashmix(pool[i], _POOL_KEYS[4 + 3 * i:8 + 3 * i])
         mixed = pool[others] * np.uint32(_MIX_L) - hashed * np.uint32(_MIX_R)
         pool[others] = mixed ^ mixed >> np.uint32(16)
-    # 8 words hashed from the pool, cycled twice, make the uint64 words of init and seq
+    # 8 words hashed from the pool, cycled twice; word pairs (low, high) make the 4 uint64 words
     words = hashmix(np.concatenate((pool, pool)), _OUT_KEYS).astype(np.uint64)
-    states = []
-    for a, b, c, d in (words[1::2] << np.uint64(32) | words[0::2]).T.tolist():
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return np.ascontiguousarray((words[1::2] << np.uint64(32) | words[0::2]).T)
+
+
+class _Hashed:  # a seed sequence of hashed words: PCG64(_Hashed(row)) is PCG64(s) for s's row of _seed_words
+    def __init__(self, row: np.ndarray):  # PCG64 reads the row's memory: 4 C-contiguous uint64 words
+        self.row = row
+
+    def generate_state(self, n_words, dtype=None):  # numpy's ISeedSequence method; registered at the first draw
+        return self.row
 
 
 def _standard_normal(raw: np.ndarray) -> np.ndarray:
@@ -128,13 +127,11 @@ def _increments(seeds, dt: float, rows: np.ndarray) -> np.ndarray:
     Raw words, normals and increments share rows' memory in turn; a row's words are
     copied in from pieces of at most _block_rows(1) words.
     """
-    try:
-        bitgen = _reused.pcg64
-    except AttributeError:
-        bitgen = _reused.pcg64 = np.random.PCG64(0)
+    from numpy.random import PCG64, bit_generator  # ~15 ms to import; only draws need it
+    bit_generator.ISeedSequence.register(_Hashed)
     piece = _block_rows(1)  # the PCG64 stream goes on across random_raw calls
-    for row, state in zip(rows[:, 1:].view(np.uint64), _pcg64_states(seeds), strict=True):
-        bitgen.state = state
+    for row, words in zip(rows[:, 1:].view(np.uint64), _seed_words(seeds), strict=True):
+        bitgen = PCG64(_Hashed(words))
         for start in range(0, len(row), piece):
             row[start:start + piece] = bitgen.random_raw(min(piece, len(row) - start))
     # elementwise over rows' memory as one block, each row's first value included (a stray word until zeroed)
@@ -170,7 +167,7 @@ def coarsen(w: np.ndarray, factor: int) -> np.ndarray:
     Node values at shared nodes are preserved bit-exactly, so coarsening
     commutes with itself: coarsen(coarsen(w, a), b) == coarsen(w, a*b).
     """
-    n_fine = np.shape(w)[-1] - 1
-    if factor < 1 or n_fine % factor != 0:
+    n_fine, factor = np.shape(w)[-1] - 1, _count(factor, "factor")
+    if n_fine % factor != 0:
         raise InvalidInputError(f"factor {factor} does not divide n_fine {n_fine}")
     return w[..., ::factor]

@@ -35,12 +35,12 @@ class GbmParams:
             raise InvalidInputError(f"sigma must be >= 0, got {self.sigma}")
 
 
-def _count(n, what: str) -> int:
-    """n as a Python int, if it is an int >= 1, Python or numpy, not a bool; what names it."""
+def _count(n, what: str, least: int = 1) -> int:
+    """n as a Python int, if it is an int >= least, Python or numpy, not a bool; what names it."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise InvalidInputError(f"{what} must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInputError(f"{what} must be >= 1, got {n!r}")
+    if n < least:
+        raise InvalidInputError(f"{what} must be >= {least}, got {n!r}")
     return int(n)
 
 

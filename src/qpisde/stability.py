@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _csvtext
 from .errors import InvalidInputError
+from .model import _count
 from .schemes import _iem_divisor, _mu_dt, _nonzero, _qpi_denominators, _qpi_divisor
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
@@ -134,8 +135,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
                                 f"span, got mu {mu_lo}:{mu_hi}, dt {dt_lo}:{dt_hi}")
     if dt_lo <= 0:
         raise InvalidInputError(f"dt range must be positive, got low = {dt_lo}")
-    if resolution < 2:
-        raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
+    resolution = _count(resolution, "resolution", 2)
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
     fn, divisor = _CONDITIONS[condition]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, InvalidInputError, LocalErrorReport, convergence_study,
-                    error_norms, local_error_study)
+from qpisde import (GbmParams, InvalidInputError, LocalErrorReport, coarsen, convergence_study,
+                    error_norms, generate_path, local_error_study, region_scan)
 
 
 class TestErrorNorms:
@@ -169,3 +169,24 @@ class TestLocalErrorStudy:
         report = LocalErrorReport(dt_list=np.array([0.1, 0.05]), mean_sq=np.array(mean_sq))
         with pytest.raises(InvalidInputError, match="must be positive"):
             report.slope()
+
+
+COUNTED = {"resolution": lambda n: region_scan("iem", 0.5, (-1.0, 0.0), (0.1, 1.0), n),
+           "factor": lambda n: coarsen(generate_path(1, 1.0, 8), n)}
+
+
+@pytest.mark.parametrize("what, n, message", [
+    *((what, n, f"{what} must be an integer, got {n!r}")
+      for what in COUNTED for n in (2.5, "5", True, None, np.float64(2.0))),
+    ("resolution", 1, "resolution must be >= 2, got 1"),
+    ("resolution", 0, "resolution must be >= 2, got 0"),
+    ("factor", 0, "factor must be >= 1, got 0"),
+    ("factor", -2, "factor must be >= 1, got -2"),
+])
+def test_library_counts_share_one_contract(what, n, message):
+    # a library count is an int, Python or numpy, not a bool, at least 1 or region_scan's 2:
+    # a float or a str is refused before any comparison, and True is not taken for 1
+    with pytest.raises(InvalidInputError) as err:
+        COUNTED[what](n)
+    assert str(err.value) == message
+

@@ -218,29 +218,38 @@ def test_coarser_grids_run_on_buffers_of_whole_blocks(monkeypatch):
     assert {(r.scheme.value, r.n_steps): (r.l1, r.l2, r.linf) for r in table.rows} == per_path_table(7)
 
 
-def test_one_bit_generator_per_call(monkeypatch):
-    # seeds are hashed in one batch, and every path is drawn by one reused PCG64
-    built = []
-    pcg64 = np.random.PCG64
+def test_seeds_hashed_once_per_call(monkeypatch):
+    # a call hashes its seeds in one batch: generate_path all of them, a convergence
+    # study each block's and local_error_study each dt's one; every PCG64 is seeded
+    # from a row of those words, never from an int seed that numpy would hash again
+    hashed, built = [], []
+    seed_words, pcg64 = brownian._seed_words, np.random.PCG64
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return pcg64(*args, **kwargs)
-    monkeypatch.setattr(np.random, "PCG64", counting)
-    monkeypatch.delattr(brownian._reused, "pcg64", raising=False)
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 3 * (N_LIST[-1] + 1))  # 24 blocks
-    for call in (lambda: generate_path([mix_seed(7, k) for k in range(N_PATHS)], 1.0, 16),
-                 lambda: convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7),
-                 lambda: analysis.local_error_study(P, [0.5, 0.25], 10, 7)):
+    def hashing(seeds):
+        hashed.append(len(seeds))
+        return seed_words(seeds)
+
+    def building(seed):
+        built.append(seed)
+        return pcg64(seed)
+    monkeypatch.setattr(brownian, "_seed_words", hashing)
+    monkeypatch.setattr(np.random, "PCG64", building)
+    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 3 * (N_LIST[-1] + 1))  # blocks of 3 paths
+    for call, batches in ((lambda: generate_path([mix_seed(7, k) for k in range(N_PATHS)], 1.0, 16), [N_PATHS]),
+                          (lambda: convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7), [3] * 23 + [1]),
+                          (lambda: analysis.local_error_study(P, [0.5, 0.25], 10, 7), [1, 1])):
+        hashed.clear()
         built.clear()
         call()
-        assert len(built) <= 1
+        assert hashed == batches
+        assert len(built) == sum(batches)
+        assert all(isinstance(seed, brownian._Hashed) for seed in built)
 
 
 def test_draws_are_thread_safe():
-    # each thread sets its path states on its own PCG64: with one shared
-    # generator, a switch between setting a state and drawing from it hands a
-    # row another path's words
+    # every path gets a PCG64 of its own, built inside the draw, so a thread
+    # switch between seeding a generator and drawing from it cannot hand a
+    # row another path's words, as it could with a generator shared by threads
     blocks = [[mix_seed(master, k) for k in range(63)] for master in (11, 12)]
     expected = [generate_path(seeds, 1.0, 32) for seeds in blocks]
 

@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from qpisde import InvalidInputError, brownian, coarsen, generate_path, mix_seed
-from qpisde.brownian import _pcg64_states, _standard_normal
+from qpisde.brownian import _seed_words, _standard_normal
 
 
 def path_from_increments(increments):
@@ -244,7 +244,10 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 def assert_states_and_draws_match(seeds):
-    assert _pcg64_states(np.array(seeds, dtype=np.uint64)) == [np.random.PCG64(s).state for s in seeds]
+    # the batched hash gives each seed's SeedSequence words, the seed of PCG64(s), as a C-contiguous row
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert words.tolist() == [np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in seeds]
     for row, s in zip(generate_path(seeds, 1.0, 64), seeds, strict=True):
         assert np.array_equal(row.view(np.uint64), documented_path(s, 1.0, 64).view(np.uint64))
 

@@ -1,11 +1,12 @@
-"""Commands that draw no normal never import scipy, and runs that write no
-CSV never build the CSV writer's digit tables.
+"""Commands that draw no normal never import scipy or numpy.random, and runs
+that write no CSV never build the CSV writer's digit tables.
 
 scipy.special costs ~0.3 s of a ~0.5 s cold start, and only the inverse
 normal CDF of the path draws needs it, so `brownian` imports it at the first
-draw. The writer's tables are built at the first CSV value for the same
-reason. These checks run in a fresh interpreter, because the test session
-itself has scipy loaded and the tables built.
+draw, and numpy.random (~15 ms) with it for PCG64. The writer's tables are
+built at the first CSV value for the same reason. These checks run in a
+fresh interpreter, because the test session itself has scipy loaded and the
+tables built.
 """
 
 import ast
@@ -16,12 +17,12 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# Runs each step in order and prints, per step, whether scipy is loaded after it.
+# Runs each step in order and prints, per step, whether scipy and numpy.random are loaded after it.
 SCRIPT = """
 import contextlib, io, os, sys
 
 def report(step):
-    print(step, "scipy" in sys.modules)
+    print(step, "scipy" in sys.modules, "numpy.random" in sys.modules)
 
 import qpisde.cli
 report("import")
@@ -48,9 +49,9 @@ def test_scipy_loaded_only_at_the_first_draw():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    loaded = dict(line.split() for line in done.stdout.splitlines())
-    assert loaded == {"import": "False", "stability": "False", "help": "False",
-                      "exit-2": "False", "simulate": "True"}
+    loaded = {step: (scipy, random) for step, scipy, random in map(str.split, done.stdout.splitlines())}
+    assert loaded == {"import": ("False", "False"), "stability": ("False", "False"), "help": ("False", "False"),
+                      "exit-2": ("False", "False"), "simulate": ("True", "True")}
 
 
 # Prints after each step whether the CSV writer's digit tables are built (the
