@@ -16,12 +16,12 @@ little-endian 32-bit words: [sign, NUL, d0, point], or [sign, '0', '.', d0] for
 x in [-4, -1], then q's four 4-digit groups after d0, each a table lookup. A
 group followed only by 0000 groups comes from the table's second half, where its
 trailing zeros are NUL, and then the point is dropped too. That is the text of
-x = 0 and -1. Any other x is a byte move on it, over whole-chunk slices for a
-chunk's most common x and over gathered rows for the others: the point moves
-right past x digits (x >= 1), -x - 1 zeros go in before d0 (x in [-4, -2]), or
-`e-05` or `e-06` goes into bytes 20-23. The field ends in padding (NUL, or
-spaces after a fallback text) and a comma; `join`, the one loop over CSV chunks,
-puts a newline over each line's last byte and deletes the padding.
+x = 0 and -1. Any other x is a byte move on it: over whole-chunk slices for the
+x most common in every 64th value, over gathered rows for the others. The point
+moves right past x digits (x >= 1), -x - 1 zeros go in before d0 (x in
+[-4, -2]), or `e-05` or `e-06` goes into bytes 20-23. The field ends in padding
+(NUL, or spaces after a fallback text) and a comma; `join`, the one loop over
+CSV chunks, puts a newline over each line's last byte and deletes the padding.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ import functools
 
 import numpy as np
 
-# values per block of batched work (path blocks, region_scan's mu rows, the CSV writers' chunks)
-_BATCH_VALUES = 1 << 16
-
-
-def _block_rows(values_per_row: int) -> int:
-    """Rows in a block of batched work: as many as hold _BATCH_VALUES values, at least one."""
-    return max(1, _BATCH_VALUES // values_per_row)
+from .model import _block_rows
 
 # the longest "%.17g" text is 24 bytes (-2.2250738585072014e-308), then a comma
 _WIDTH = 25
@@ -130,8 +124,8 @@ def fields(values) -> np.ndarray:
     for on, step in ((cut, 10), ((x < 0) & (x >= -4), 20), (flat < 0, 40)):
         head += on.view(np.uint8) * np.uint8(step)
     word[:, 0] = heads.take(head.astype(np.intp))
-    # x = 0 and -1 are done; the most common x moves over the whole chunk, the rest in a copy
-    major = int(np.bincount(x + 7, minlength=24).argmax()) - 7
+    # x = 0 and -1 are done; the most common x in every 64th value moves over the whole chunk, the rest in a copy
+    major = int(np.bincount(x[::64] + 7, minlength=24).argmax()) - 7
     at = np.flatnonzero(ok & (x != major) & ((x < -1) | (x > 0) | (major not in (-7, -1, 0))))
     rows, xs = out[at], x[at]
     _move(out, major)  # none for x = -7, -1 or 0

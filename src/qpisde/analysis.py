@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvtext import _block_rows
 from .brownian import _increments, coarsen, generate_path, mix_seed
 from .errors import InvalidInputError
-from .model import GbmParams, _buffer, _count, _front, exact_solution
+from .model import GbmParams, _block_rows, _buffer, _count, _front, _half_sigma_sq, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 def error_norms(exact, approx, scratch=None):
@@ -69,16 +68,15 @@ class ConvergenceTable:
         return ["\n".join(["scheme,n,l1,l2,linf,n_paths", *lines, ""]).encode("ascii")]
 
 
-def _workspace(n_list, n_paths):
-    """A convergence study's ladder and path count, checked, and the shapes of its arrays.
+def _workspace(n_list, n_paths, n_schemes):
+    """A convergence study's ladder and path count, checked, and the shapes of all its arrays.
 
-    n_list must be strictly ascending counts that each divide its last, n_max.
-    The first array is the workspace: the fine path block, the exact and
-    approximate trajectories and a scratch array, each of block rows by
-    n_max + 1, where a block holds _block_rows(n_max + 1) paths, and at most
-    n_paths. Then each coarser grid n has a buffer for the coarsened rows of
-    whole blocks: as many blocks as a workspace array holds at n + 1 nodes,
-    but no more than the study draws.
+    n_list must be strictly ascending counts that each divide its last, n_max. The arrays are
+    the norms, (l1, l2, linf) per path for each of n_schemes schemes and each n; the workspace:
+    the fine path block, the exact and approximate trajectories and a scratch array, each of
+    block rows by n_max + 1, where a block holds _block_rows(n_max + 1) paths, and at most
+    n_paths; then a buffer for each coarser grid n, for the coarsened rows of whole blocks: as
+    many blocks as a workspace array holds at n + 1 nodes, but no more than the study draws.
     """
     n_list = [_count(n, "every n in n_list") for n in n_list]
     if not n_list or sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
@@ -89,7 +87,7 @@ def _workspace(n_list, n_paths):
             raise InvalidInputError(f"every n in n_list must divide max(n_list); got {n} for {n_max}")
     block = min(_block_rows(n_max + 1), n_paths)
     buffers = [(block * min((n_max + 1) // (n + 1), -(-n_paths // block)), n + 1) for n in n_list[:-1]]
-    return n_list, n_paths, [(4, block, n_max + 1), *buffers]
+    return n_list, n_paths, [(n_schemes, len(n_list), 3, n_paths), (4, block, n_max + 1), *buffers]
 
 
 def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
@@ -106,30 +104,29 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     schemes = [SchemeId.parse(s) for s in schemes]
     if len(set(schemes)) != len(schemes):
         raise InvalidInputError(f"schemes must not repeat, got {', '.join(s.value for s in schemes)}")
-    n_list, n_paths, shapes = _workspace(n_list, n_paths)
+    n_list, n_paths, shapes = _workspace(n_list, n_paths, len(schemes))
     n_max = n_list[-1]
-    norms = {(s, n): np.empty((3, n_paths)) for s in schemes for n in n_list}
-    work, *buffers = map(np.empty, shapes)
+    norms, work, *buffers = map(np.empty, shapes)
 
-    def run(n, w, first):  # every kernel on grid n for the paths first, first + 1, ... in w
+    def run(k, w, first):  # every kernel on grid n_list[k] for the paths first, first + 1, ... in w
         exact, approx, scratch = (_front(a, w.shape) for a in work[1:])
         exact_solution(params, t_end, w, out=exact)
-        for s in schemes:
+        for j, s in enumerate(schemes):
             integrate(s, params, t_end, w, out=approx, scratch=scratch)
-            norms[(s, n)][:, first:first + len(w)] = error_norms(exact, approx, scratch=scratch)
+            norms[j, k, :, first:first + len(w)] = error_norms(exact, approx, scratch=scratch)
     for start in range(0, n_paths, work.shape[1]):
         stop = min(start + work.shape[1], n_paths)
         fine = generate_path(mix_seed(master_seed, np.arange(start, stop)), t_end, n_max,
                              out=work[0, :stop - start])
-        run(n_max, fine, start)
-        for n, buffer in zip(n_list, buffers):
+        run(len(n_list) - 1, fine, start)
+        for k, (n, buffer) in enumerate(zip(n_list, buffers)):
             first = start - start % len(buffer)  # a buffer holds whole blocks
             buffer[start - first:stop - first] = coarsen(fine, n_max // n)
             if stop - first == len(buffer) or stop == n_paths:
-                run(n, buffer[:stop - first], first)
+                run(k, buffer[:stop - first], first)
     # the mean adds the paths in order, so it does not depend on the block size
     return ConvergenceTable(tuple(ErrorReport(s, n, *np.add.accumulate(v, axis=1)[:, -1] / n_paths, n_paths)
-                                  for (s, n), v in norms.items()))
+                                  for s, by_n in zip(schemes, norms) for n, v in zip(n_list, by_n)))
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,7 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
     for k, dt in enumerate(dts):
         z = _increments(seeds[k:k + 1], dt, draws)[0, 1:]
         dWa, dWb = z[:n_paths], z[n_paths:]
-        # np.float64 ** gives inf on overflow where float ** raises
-        drift = (mu - 0.5 * np.float64(sigma)**2) * 2.0 * dt
+        drift = (mu - _half_sigma_sq(sigma)) * 2.0 * dt
         for i in range(0, n_paths, step):  # a block's squared errors go over its dWa, once used
             a, b = dWa[i:i + step], dWb[i:i + step]
             _, beta = _qpi_alpha_beta(mu, sigma, dt, a, b)

@@ -29,9 +29,8 @@ import math
 
 import numpy as np
 
-from ._csvtext import _block_rows
 from .errors import InvalidInputError
-from .model import _buffer, _count, _step_size
+from .model import _block_rows, _buffer, _count, _step_size
 
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 # numpy's SeedSequence: the running hash keys init * mult^i mod 2^32 of its pool (i <= 16)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _csvtext, analysis, brownian, stability
 from .errors import InvalidInputError, QpisdeError
-from .model import GbmParams, exact_solution
+from .model import GbmParams, _block_rows, exact_solution
 from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
@@ -147,7 +147,7 @@ def cmd_simulate(args) -> None:
     # one path: its exact, then its approximate trajectory; else one row per path
     columns = np.empty((n_paths + (n_paths == 1), n + 1))
     approx = columns[-n_paths:]
-    block = min(_csvtext._block_rows(n + 1), n_paths)
+    block = min(_block_rows(n + 1), n_paths)
     work = np.empty((2, block, n + 1))  # a block's paths and the kernel's scratch
     for start in range(0, n_paths, block):
         ids = np.arange(start, min(start + block, n_paths))
@@ -166,10 +166,8 @@ def cmd_simulate(args) -> None:
 
 def cmd_converge(args) -> None:
     schemes = args.schemes.split(",")  # convergence_study parses the names
-    # the study's workspace and buffers, and 3 norms per path for each table row;
-    # the ladder is checked first, as a list that is no ladder has no buffers
-    workspace = sum(map(math.prod, analysis._workspace(args.n_list, args.paths)[2]))
-    _check_size(workspace + 3 * args.paths * len(schemes) * len(args.n_list),
+    # every array the study allocates; the ladder is checked first, as a list that is no ladder has no buffers
+    _check_size(sum(map(math.prod, analysis._workspace(args.n_list, args.paths, len(schemes))[2])),
                 "--n-list, --paths and --schemes")
     table = analysis.convergence_study(schemes, GbmParams(args.mu, args.sigma, args.x0), args.n_list,
                                        args.paths, args.seed, t_end=args.t_end)

@@ -1,7 +1,8 @@
 """Geometric Brownian motion problem definition and its closed-form solution.
 
 The model is dX = mu*X dt + sigma*X dW with deterministic initial value x0.
-Coefficients are autonomous (no explicit time dependence).
+Coefficients are autonomous (no explicit time dependence). The rules all layers
+share live here too: the Ito correction sigma^2/2 and the block rule that sizes batched work.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+
+# values per block of batched work (path blocks, region_scan's mu rows, the CSV writers' chunks)
+_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,16 @@ class GbmParams:
                 raise InvalidInputError(f"{name} must be finite, got {v!r}")
         if self.sigma < 0:
             raise InvalidInputError(f"sigma must be >= 0, got {self.sigma}")
+
+
+def _block_rows(values_per_row: int) -> int:
+    """Rows in a block of batched work: as many as hold _BATCH_VALUES values, at least one."""
+    return max(1, _BATCH_VALUES // values_per_row)
+
+
+def _half_sigma_sq(sigma):
+    """sigma^2/2, the Ito correction, as a float64: np.float64 ** gives inf on overflow where float ** raises."""
+    return 0.5 * np.float64(sigma)**2
 
 
 def _count(n, what: str, least: int = 1) -> int:
@@ -79,8 +93,7 @@ def exact_solution(params: GbmParams, t_end: float, w, out=None) -> np.ndarray:
     n = w.shape[-1] - 1 if w.ndim else 0
     _step_size(t_end, n)
     x = np.multiply(params.sigma, w, out=_buffer(out, w.shape))
-    # np.float64 ** gives inf on overflow where float ** raises
-    x += np.linspace(0.0, t_end, n + 1) * (params.mu - 0.5 * np.float64(params.sigma)**2)
+    x += np.linspace(0.0, t_end, n + 1) * (params.mu - _half_sigma_sq(params.sigma))
     np.exp(x, out=x)
     x *= params.x0
     return x

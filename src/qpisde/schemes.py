@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, SingularStepError
-from .model import GbmParams, _buffer, _front, _step_size
+from .model import GbmParams, _buffer, _front, _half_sigma_sq, _step_size
 
 
 class SchemeId(enum.Enum):
@@ -144,8 +144,7 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, ou
         sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
         np.multiply(dW, dW, out=out)
         out -= dt
-        # np.float64 ** gives inf on overflow where float ** raises
-        out *= sign * 0.5 * np.float64(sigma)**2
+        out *= sign * _half_sigma_sq(sigma)
         dW *= sigma
         dW += 1.0 + mu * dt
         out += dW
@@ -168,7 +167,7 @@ def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w,
     n = w.shape[-1] - 1 if w.ndim else 0
     dt = _step_size(t_end, n)
     if scheme is SchemeId.QPI and n % 2 != 0:
-        raise InvalidInputError("N must be even for qpi")
+        raise InvalidInputError(f"N must be even for qpi, got {n}")
     # unit-x0 trajectory scaled once at the end, so trajectories are
     # node-wise exactly linear in x0. The increments are held in values'
     # memory and the multipliers in scratch's, each as one contiguous block

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _csvtext
 from .errors import InvalidInputError
-from .model import _count
+from .model import _block_rows, _count
 from .schemes import _iem_divisor, _mu_dt, _nonzero, _qpi_denominators, _qpi_divisor
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
@@ -139,7 +139,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
     fn, divisor = _CONDITIONS[condition]
-    lhs, dt, step = np.empty((resolution, resolution)), dt_axis[None, :], _csvtext._block_rows(4 * resolution)
+    lhs, dt, step = np.empty((resolution, resolution)), dt_axis[None, :], _block_rows(4 * resolution)
     for start in range(0, resolution, step):
         mu, block = mu_axis[start:start + step, None], lhs[start:start + step]
         singular = divisor(mu * dt) == 0.0
@@ -157,7 +157,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
 def region_to_csv(grid: RegionGrid):
     """Yield the `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, as
     ASCII bytes: the header line, then one item per chunk of whole mu rows of at most
-    65,536 values (_csvtext._BATCH_VALUES), at least one mu row, each built when asked for."""
+    65,536 values (model._BATCH_VALUES), at least one mu row, each built when asked for."""
     w = _csvtext._WIDTH
     # each axis value is formatted once; a chunk broadcasts them over its cells
     mu_txt, dt_txt = _csvtext.fields(grid.mu_axis), _csvtext.fields(grid.dt_axis)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpisde import (GbmParams, InvalidInputError, SchemeId, _csvtext, analysis, brownian, coarsen,
+from qpisde import (GbmParams, InvalidInputError, SchemeId, analysis, brownian, coarsen,
                     convergence_study, error_norms, exact_solution,
-                    generate_path, integrate, mix_seed, qpi_block_solve_oracle)
+                    generate_path, integrate, mix_seed, model, qpi_block_solve_oracle)
 from qpisde.schemes import _qpi_alpha_beta
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
@@ -191,11 +191,11 @@ def per_path_table(seed):
 # (60 rows) ends with 10 and the n = 4 buffer (72 rows) is never full, so no
 # buffer's size divides N_PATHS
 @pytest.mark.parametrize("batch_values", [1, 3 * (N_LIST[-1] + 1), 4 * (N_LIST[-1] + 1),
-                                          _csvtext._BATCH_VALUES],
+                                          model._BATCH_VALUES],
                          ids=["one-row", "three-rows", "four-rows", "default"])
 def test_convergence_table_independent_of_block_size(batch_values, monkeypatch):
     reference = convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7)
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", batch_values)
+    monkeypatch.setattr(model, "_BATCH_VALUES", batch_values)
     table = convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7)
     assert table.to_csv() == reference.to_csv()
     expected = per_path_table(7)
@@ -234,7 +234,7 @@ def test_seeds_hashed_once_per_call(monkeypatch):
         return pcg64(seed)
     monkeypatch.setattr(brownian, "_seed_words", hashing)
     monkeypatch.setattr(np.random, "PCG64", building)
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 3 * (N_LIST[-1] + 1))  # blocks of 3 paths
+    monkeypatch.setattr(model, "_BATCH_VALUES", 3 * (N_LIST[-1] + 1))  # blocks of 3 paths
     for call, batches in ((lambda: generate_path([mix_seed(7, k) for k in range(N_PATHS)], 1.0, 16), [N_PATHS]),
                           (lambda: convergence_study(SCHEMES, P, N_LIST, N_PATHS, 7), [3] * 23 + [1]),
                           (lambda: analysis.local_error_study(P, [0.5, 0.25], 10, 7), [1, 1])):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpisde import _csvtext, analysis, cli, stability
+from qpisde import _csvtext, analysis, cli, model, stability
 from qpisde.cli import main
 from qpisde.errors import InvalidInputError
 from qpisde.model import GbmParams
@@ -48,7 +48,7 @@ class TestSimulate:
     def test_odd_n_for_qpi(self, capsys):
         rc = exit_code(["simulate", "--n", "255", "--scheme", "qpi"])
         assert rc == 2
-        assert "N must be even for qpi" in capsys.readouterr().err
+        assert "N must be even for qpi, got 255" in capsys.readouterr().err
 
     def test_multi_path_growth_at_positive_drift(self, tmp_path):
         out = tmp_path / "paths.csv"
@@ -77,7 +77,7 @@ class TestSimulate:
         shapes, integrate = [], cli.integrate
         monkeypatch.setattr(cli, "integrate",
                             lambda *args, **kwargs: shapes.append(args[-1].shape) or integrate(*args, **kwargs))
-        monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 3 * 9)  # blocks of 3 paths of 9 nodes
+        monkeypatch.setattr(model, "_BATCH_VALUES", 3 * 9)  # blocks of 3 paths of 9 nodes
         assert main(argv) == 0
         assert shapes == [(3, 9), (3, 9), (1, 9)]
         assert capsysbinary.readouterr().out == reference
@@ -195,7 +195,7 @@ class TestLocalError:
         blocks, alpha_beta = [], analysis._qpi_alpha_beta
         monkeypatch.setattr(analysis, "_qpi_alpha_beta",
                             lambda *args: blocks.append(len(args[-1])) or alpha_beta(*args))
-        monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 300)
+        monkeypatch.setattr(model, "_BATCH_VALUES", 300)
         assert main(argv) == 0
         assert blocks == [300, 300, 300, 100] * 2
         assert capsysbinary.readouterr().out == reference

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpisde import _csvtext
+from qpisde import _csvtext, model
 from same_text import assert_same_text
 
 
@@ -167,7 +167,7 @@ def test_join_equals_percent_format(table):
         return lines(table[r])
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_csvtext, "_BATCH_VALUES", 7)
+        mp.setattr(model, "_BATCH_VALUES", 7)
         out = list(_csvtext.join("a,b", rows, cols, block))
     assert_same_text(text(out), csv_reference("a,b", table))
     assert chunks == [min(step, rows - start) for start in range(0, rows, step)]
@@ -175,7 +175,7 @@ def test_join_equals_percent_format(table):
 
 @pytest.mark.parametrize("cols", [1, 3])
 def test_join_fixed_sample(cols, monkeypatch):
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 1000)
+    monkeypatch.setattr(model, "_BATCH_VALUES", 1000)
     table = sample()[:199_999 // cols * cols].reshape(-1, cols)
     rows = table.shape[0]
     assert rows % (1000 // cols) != 0
@@ -234,7 +234,7 @@ def test_fields_with_a_majority_exponent(major):
 
 def test_join_chunks_with_different_majorities(monkeypatch):
     # 300 values per chunk, 100 rows of three; each chunk has its own majority
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 300)
+    monkeypatch.setattr(model, "_BATCH_VALUES", 300)
     rng = np.random.default_rng(7)
     majors = [-5, 3, None, 16, -1]
     table = np.concatenate([majority_chunk(m, rng, size=300) for m in majors]).reshape(-1, 3)
@@ -250,7 +250,7 @@ def test_join_chunks_with_different_majorities(monkeypatch):
 
 def test_join_builds_each_chunk_when_asked(monkeypatch):
     # 3 chunks of one row: nothing is built for the header, then one chunk per item taken
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 2)
+    monkeypatch.setattr(model, "_BATCH_VALUES", 2)
     table, built = np.arange(6.0).reshape(3, 2), []
     chunks = _csvtext.join("a,b", 3, 2, lambda r: built.append(r.start) or lines(table[r]))
     assert next(chunks) == b"a,b\n" and built == []
@@ -261,7 +261,7 @@ def test_join_builds_each_chunk_when_asked(monkeypatch):
 @pytest.mark.parametrize("cols", [1, 3, 7, 1000, 1001])
 def test_join_hands_out_one_item_per_chunk(cols, monkeypatch):
     # the header line, then each chunk's rows on their own: no item holds the whole text
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 1000)
+    monkeypatch.setattr(model, "_BATCH_VALUES", 1000)
     table = sample()[:5000 // cols * cols].reshape(-1, cols)
     rows = table.shape[0]
     chunks = list(_csvtext.join("h", rows, cols, lambda r: lines(table[r])))

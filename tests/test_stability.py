@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qpisde import _csvtext
+from qpisde import model
 from qpisde import (GbmParams, InvalidInputError, RegionGrid, SchemeId, SingularStepError,
                     iem_amplification, milstein_amplification,
                     qpi_exact_amplification, qpi_paper_lhs, region_scan,
@@ -352,7 +352,7 @@ class TestWritersMatchPerCellReference:
         for k in (1, 2, nmu - 1):
             with pytest.MonkeyPatch.context() as mp:
                 # one value short of k + 1 mu rows of 4 values per cell
-                mp.setattr(_csvtext, "_BATCH_VALUES", 4 * ndt * (k + 1) - 1)
+                mp.setattr(model, "_BATCH_VALUES", 4 * ndt * (k + 1) - 1)
                 chunks = list(region_to_csv(grid))
             assert b"".join(chunks).decode("ascii") == csv_reference(grid)
             assert chunks[0] == b"mu,dt,lhs,stable\n"
@@ -366,14 +366,14 @@ def test_scan_independent_of_block_size(rows, monkeypatch):
     # 7 mu rows in blocks of `rows`, the last one short for 2 and 5; mu*dt = 1 and
     # 3 are on the grid, so every condition with a singular set meets it
     reference = {c: region_scan(c, 0.5, (0.0, 6.0), (0.5, 1.0), 7) for c in CONDITION_FNS}
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 4 * 7 * rows)
+    monkeypatch.setattr(model, "_BATCH_VALUES", 4 * 7 * rows)
     for condition, ref in reference.items():
         grid = region_scan(condition, 0.5, (0.0, 6.0), (0.5, 1.0), 7)
         assert np.array_equal(bits(grid.lhs), bits(ref.lhs))
         assert np.array_equal(grid.verdicts, ref.verdicts)
     assert all(np.isnan(reference[c].lhs).any() for c in ("qpi-paper", "qpi-exact", "iem"))
     # the mu = 0 row is finite at dt = 1e200, the mu = 1 row overflows in its own block
-    monkeypatch.setattr(_csvtext, "_BATCH_VALUES", 4 * 2)
+    monkeypatch.setattr(model, "_BATCH_VALUES", 4 * 2)
     with pytest.raises(InvalidInputError, match="overflowed"), np.errstate(over="ignore", invalid="ignore"):
         region_scan("qpi-paper", 0.5, (0.0, 1.0), (0.01, 1e200), 2)
 
