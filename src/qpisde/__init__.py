@@ -5,8 +5,7 @@ experiments."""
 from .analysis import (ConvergenceTable, ErrorReport, LocalErrorReport,
                        convergence_study, error_norms, local_error_study)
 from .brownian import coarsen, generate_path, mix_seed
-from .errors import InvalidInputError, QpisdeError, SingularStepError
-from .model import GbmParams, exact_solution
+from .model import GbmParams, InvalidInputError, QpisdeError, SingularStepError, exact_solution
 from .schemes import QpiBlockCoeffs, SchemeId, integrate, qpi_block_solve_oracle
 from .stability import (RegionGrid, iem_amplification, milstein_amplification,
                         qpi_exact_amplification, qpi_paper_lhs, region_scan,

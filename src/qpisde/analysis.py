@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import _increments, coarsen, generate_path, mix_seed
-from .errors import InvalidInputError
-from .model import GbmParams, _block_rows, _buffer, _count, _front, _half_sigma_sq, exact_solution
+from .model import GbmParams, InvalidInputError, _block_rows, _buffer, _count, _front, _half_sigma_sq, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 def error_norms(exact, approx, scratch=None):

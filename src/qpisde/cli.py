@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import _csvtext, analysis, brownian, stability
-from .errors import InvalidInputError, QpisdeError
-from .model import GbmParams, _block_rows, exact_solution
+from .model import GbmParams, InvalidInputError, QpisdeError, _block_rows, exact_solution
 from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
@@ -34,13 +33,14 @@ MAX_VALUES = 1 << 26
 
 
 def _load_config(path: str) -> dict:
-    """Parse a line-based UTF-8 `key=value` config file; `#` starts a comment."""
+    """Parse a line-based UTF-8 `key=value` config file; `#` starts a comment, a leading BOM is ignored."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:  # newline=None splits lines as a file opened in text mode does
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text: byte {exc.start} is {data[exc.start]:#04x}") from None
+        lines = io.StringIO(data.decode("utf-8-sig"), newline=None)
+    except UnicodeDecodeError as exc:  # exc.object is the data after a BOM
+        at = exc.start + len(data) - len(exc.object)
+        raise InvalidInputError(f"{path}: not UTF-8 text: byte {at} is {data[at]:#04x}") from None
     cfg = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

@@ -2,7 +2,8 @@
 
 The model is dX = mu*X dt + sigma*X dW with deterministic initial value x0.
 Coefficients are autonomous (no explicit time dependence). The rules all layers
-share live here too: the Ito correction sigma^2/2 and the block rule that sizes batched work.
+share live here too: the error types (QpisdeError, InvalidInputError, SingularStepError),
+the Ito correction sigma^2/2 and the block rule that sizes batched work.
 """
 
 from __future__ import annotations
@@ -12,10 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-
 # values per block of batched work (path blocks, region_scan's mu rows, the CSV writers' chunks)
 _BATCH_VALUES = 1 << 16
+
+
+class QpisdeError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class InvalidInputError(QpisdeError, ValueError):
+    """An argument violates a documented precondition."""
+
+
+class SingularStepError(QpisdeError, ArithmeticError):
+    """A step has a vanishing divisor: mu*dt = 1 for drift-implicit EM, 3 for the two-step block."""
 
 
 @dataclass(frozen=True)

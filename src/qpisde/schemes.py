@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularStepError
-from .model import GbmParams, _buffer, _front, _half_sigma_sq, _step_size
+from .model import GbmParams, InvalidInputError, SingularStepError, _buffer, _front, _half_sigma_sq, _step_size
 
 
 class SchemeId(enum.Enum):

@@ -20,8 +20,7 @@ from itertools import compress
 import numpy as np
 
 from . import _csvtext
-from .errors import InvalidInputError
-from .model import _block_rows, _count
+from .model import GbmParams, InvalidInputError, _block_rows, _count
 from .schemes import _iem_divisor, _mu_dt, _nonzero, _qpi_denominators, _qpi_divisor
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
@@ -126,8 +125,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     if condition not in _CONDITIONS:
         raise InvalidInputError(
             f"unknown condition {condition!r}; expected one of {', '.join(_CONDITIONS)}")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+    GbmParams(0.0, sigma)  # sigma's rule: finite and >= 0
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     dt_lo, dt_hi = float(dt_range[0]), float(dt_range[1])
     if not (0 < mu_hi - mu_lo < np.inf and 0 < dt_hi - dt_lo < np.inf):

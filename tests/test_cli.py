@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from qpisde import _csvtext, analysis, cli, model, stability
 from qpisde.cli import main
-from qpisde.errors import InvalidInputError
-from qpisde.model import GbmParams
+from qpisde.model import GbmParams, InvalidInputError
 from qpisde.schemes import SchemeId
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -301,6 +300,7 @@ class TestInputContract:
         (["simulate"], "nn=4\n", "nn"),
         (["stability", "--sigma", "nan", "--grid", "2"], None, "sigma"),
         (["stability", "--sigma", "-1", "--grid", "2"], None, "sigma"),
+        (["stability", "--sigma", "inf", "--grid", "2"], None, "sigma"),
         (["stability", "--mu-range", "-1e308:1e308", "--grid", "2"], None, "finite"),
         (["stability", "--dt-range", "0.01:inf", "--grid", "2"], None, "finite"),
         (["local-error", "--dt-list", "nan"], None, "finite"),
@@ -341,7 +341,7 @@ class TestInputContract:
          "overflowed to inf"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "range-three-parts",
             "n-list-empty-item", "n-list-trailing-comma", "dt-list-empty-item", "config-word",
-            "config-unknown-key", "sigma-nan", "sigma-negative", "mu-range-overflow",
+            "config-unknown-key", "sigma-nan", "sigma-negative", "sigma-inf", "mu-range-overflow",
             "dt-range-inf", "dt-list-nan", "qpi-paper-overflow", "milstein-overflow",
             "config-choice", "config-format", "dt-list-single", "schemes-repeated",
             "seed-negative", "seed-2-64", "config-seed-negative", "stability-mu",
@@ -375,6 +375,20 @@ class TestInputContract:
         assert exit_code(["simulate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err == f"qpisde simulate: error: {cfg}: not UTF-8 text: byte 9 is 0xff\n"
+
+    def test_config_byte_order_mark_ignored(self, tmp_path, capsysbinary):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(b"paths=3\nn=4\nseed=7\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert exit_code(["simulate", "--config", str(plain)]) == 0
+        reference = capsysbinary.readouterr().out
+        assert exit_code(["simulate", "--config", str(marked)]) == 0
+        assert capsysbinary.readouterr().out == reference and reference.count(b"\n") == 6
+        # a bad byte after the mark is named by its offset in the file
+        marked.write_bytes(b"\xef\xbb\xbfn=4\nmu=-1\xff\n")
+        assert exit_code(["simulate", "--config", str(marked)]) == 2
+        err = capsysbinary.readouterr().err.decode()
+        assert err == f"qpisde simulate: error: {marked}: not UTF-8 text: byte 12 is 0xff\n"
 
     @pytest.mark.parametrize("spaced,joined", [
         (["simulate", "--mu", "-1e-3", "--n", "2"], ["simulate", "--mu=-1e-3", "--n", "2"]),

@@ -1,7 +1,8 @@
 """Which package modules each module of `src/qpisde` imports, read from the source.
 
-The rules every layer shares live in `model`, which every layer imports
-anyway; the CSV text module is imported only by the modules that write CSV.
+The rules every layer shares, the error types among them, live in `model`,
+which every layer imports anyway; the CSV text module is imported only by the
+modules that write CSV.
 """
 
 import ast
@@ -28,10 +29,10 @@ def _package_imports(tree):
 
 
 def _defined(tree):
-    """The names a module's top level assigns or defines."""
+    """The names a module's top level assigns or defines, classes included."""
     found = set()
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
@@ -40,6 +41,10 @@ def _defined(tree):
 
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_package_modules():
+    assert set(TREES) == {"__init__", "_csvtext", "analysis", "brownian", "cli", "model", "schemes", "stability"}
 
 
 def test_only_the_csv_writers_import_the_csv_text_module():
@@ -53,3 +58,12 @@ def test_block_rule_lives_in_model_alone():
         assert [name for name, tree in TREES.items() if rule in _defined(tree)] == ["model"], rule
     # a copy bound by import would not follow a change to model._BATCH_VALUES, as tests make
     assert not any("_BATCH_VALUES" in _package_imports(tree)[1] for tree in TREES.values())
+
+
+def test_error_types_live_in_model_alone():
+    for error in ("QpisdeError", "InvalidInputError", "SingularStepError"):
+        assert [name for name, tree in TREES.items() if error in _defined(tree)] == ["model"], error
+
+
+def test_no_module_imports_errors():
+    assert not any("errors" in _package_imports(tree)[0] for tree in TREES.values())

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, InvalidInputError, SchemeId, exact_solution,
-                    generate_path, integrate)
+from qpisde import (GbmParams, InvalidInputError, QpisdeError, SchemeId, SingularStepError,
+                    exact_solution, generate_path, integrate)
 
 
 def test_initial_condition():
@@ -47,6 +47,11 @@ def test_strictly_positive_for_positive_x0():
     w = generate_path(11, 1.0, 64)
     traj = exact_solution(GbmParams(mu=1.0, sigma=2.0, x0=0.5), 1.0, w)
     assert np.all(traj > 0)
+
+
+def test_error_types():
+    assert issubclass(InvalidInputError, QpisdeError) and issubclass(InvalidInputError, ValueError)
+    assert issubclass(SingularStepError, QpisdeError) and issubclass(SingularStepError, ArithmeticError)
 
 
 def test_param_validation():
