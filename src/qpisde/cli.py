@@ -21,9 +21,8 @@ import sys
 
 import numpy as np
 
-from . import _csvtext, analysis, brownian, stability
+# each command imports the other layers it runs, so it loads no module it does not run
 from .model import GbmParams, InvalidInputError, QpisdeError, _block_rows, exact_solution
-from .schemes import SchemeId, integrate
 
 # the work-size budget: 2**26 float64 values (512 MiB) in a command's main arrays, for converge
 # its study's workspace and buffers. With temporaries and the chunk of text being written, peak RSS
@@ -140,9 +139,10 @@ def _write_output(path: str, chunks) -> None:
 
 
 def cmd_simulate(args) -> None:
+    from . import _csvtext, brownian, schemes
     params = GbmParams(args.mu, args.sigma, args.x0)
     t_end, n, seed, n_paths = args.t_end, args.n, args.seed, args.paths
-    scheme = SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
+    scheme = schemes.SchemeId.parse(args.scheme)  # an unknown --scheme fails before any path is drawn
     _check_size(n_paths * (n + 1), "--paths and --n")
     # one path: its exact, then its approximate trajectory; else one row per path
     columns = np.empty((n_paths + (n_paths == 1), n + 1))
@@ -152,7 +152,7 @@ def cmd_simulate(args) -> None:
     for start in range(0, n_paths, block):
         ids = np.arange(start, min(start + block, n_paths))
         w = brownian.generate_path(brownian.mix_seed(seed, ids), t_end, n, out=work[0, :len(ids)])
-        integrate(scheme, params, t_end, w, out=approx[start:start + block], scratch=work[1, :len(ids)])
+        schemes.integrate(scheme, params, t_end, w, out=approx[start:start + block], scratch=work[1, :len(ids)])
     if n_paths == 1:
         header = "t,exact,approx"
         exact_solution(params, t_end, w, out=columns[:1])
@@ -165,6 +165,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_converge(args) -> None:
+    from . import analysis
     schemes = args.schemes.split(",")  # convergence_study parses the names
     # every array the study allocates; the ladder is checked first, as a list that is no ladder has no buffers
     _check_size(sum(map(math.prod, analysis._workspace(args.n_list, args.paths, len(schemes))[2])),
@@ -176,6 +177,7 @@ def cmd_converge(args) -> None:
 
 
 def cmd_stability(args) -> None:
+    from . import stability
     _check_size(args.grid ** 2, "--grid")
     grid = stability.region_scan(args.scheme, args.sigma, args.mu_range, args.dt_range, args.grid)
     write = stability.region_to_csv if args.format == "csv" else stability.region_to_svg
@@ -183,6 +185,7 @@ def cmd_stability(args) -> None:
 
 
 def cmd_local_error(args) -> None:
+    from . import analysis
     _check_size(2 * args.samples, "--samples")
     report = analysis.local_error_study(GbmParams(args.mu, args.sigma, args.x0), args.dt_list,
                                         args.samples, args.seed)
@@ -210,6 +213,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import schemes, stability
     parser = _Parser(
         prog="qpisde",
         description="Two-step quadratic-interpolation scheme for GBM: "
@@ -236,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd["simulate"]
     p.add_argument("--n", type=_int_in(1), default=256, help="number of steps (default %(default)s)")
-    p.add_argument("--scheme", default="qpi", help="|".join(s.value for s in SchemeId) + " (default %(default)s)")
+    p.add_argument("--scheme", default="qpi",
+                   help="|".join(s.value for s in schemes.SchemeId) + " (default %(default)s)")
     p.add_argument("--paths", type=_int_in(1), default=1, help="number of paths (default %(default)s)")
 
     p = cmd["converge"]

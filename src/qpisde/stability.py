@@ -19,7 +19,6 @@ from itertools import compress
 
 import numpy as np
 
-from . import _csvtext
 from .model import GbmParams, InvalidInputError, _block_rows, _count
 from .schemes import _iem_divisor, _mu_dt, _nonzero, _qpi_denominators, _qpi_divisor
 
@@ -156,6 +155,7 @@ def region_to_csv(grid: RegionGrid):
     """Yield the `mu,dt,lhs,stable` CSV rows of a region scan, row-major over mu, as
     ASCII bytes: the header line, then one item per chunk of whole mu rows of at most
     65,536 values (model._BATCH_VALUES), at least one mu row, each built when asked for."""
+    from . import _csvtext  # only CSV output loads the writer
     w = _csvtext._WIDTH
     # each axis value is formatted once; a chunk broadcasts them over its cells
     mu_txt, dt_txt = _csvtext.fields(grid.mu_axis), _csvtext.fields(grid.dt_axis)

@@ -114,6 +114,10 @@ MUTANTS = (
            'data.decode("utf-8-sig")',
            'data.decode("utf-8")',
            ("test_cli.py",)),
+    Mutant("cli-loads-analysis-at-import", "cli.py",
+           "\nfrom .model import",
+           "\nfrom . import analysis\nfrom .model import",
+           ("test_coldstart.py", "test_layering.py")),
 )
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpisde import _csvtext, analysis, cli, model, stability
+from qpisde import _csvtext, analysis, cli, model, schemes, stability
 from qpisde.cli import main
 from qpisde.model import GbmParams, InvalidInputError
 from qpisde.schemes import SchemeId
@@ -73,8 +73,8 @@ class TestSimulate:
         argv = ["simulate", "--paths", "7", "--n", "8"]
         assert main(argv) == 0
         reference = capsysbinary.readouterr().out
-        shapes, integrate = [], cli.integrate
-        monkeypatch.setattr(cli, "integrate",
+        shapes, integrate = [], schemes.integrate
+        monkeypatch.setattr(schemes, "integrate",
                             lambda *args, **kwargs: shapes.append(args[-1].shape) or integrate(*args, **kwargs))
         monkeypatch.setattr(model, "_BATCH_VALUES", 3 * 9)  # blocks of 3 paths of 9 nodes
         assert main(argv) == 0

@@ -1,5 +1,6 @@
-"""Commands that draw no normal never import scipy or numpy.random, and runs
-that write no CSV never build the CSV writer's digit tables.
+"""Commands that draw no normal never import scipy or numpy.random, runs
+that write no CSV never build the CSV writer's digit tables, and each step
+loads only the `qpisde` modules it runs.
 
 scipy.special costs ~0.3 s of a ~0.5 s cold start, and only the inverse
 normal CDF of the path draws needs it, so `brownian` imports it at the first
@@ -79,6 +80,80 @@ def test_writer_tables_built_at_the_first_csv():
     assert done.returncode == 0, done.stderr
     built = dict(line.split() for line in done.stdout.splitlines())
     assert built == {"import": "0", "svg": "0", "csv": "1"}
+
+
+# Runs each step in order and prints, per step, the sorted `qpisde` modules loaded after it: the
+# parser needs `schemes` and `stability`, and a command loads the other layers it runs.
+MODULES_SCRIPT = """
+import contextlib, io, sys
+
+def report(step):
+    print(step, *sorted(name for name in sys.modules if name.split(".")[0] == "qpisde"))
+
+import qpisde.cli
+report("import")
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return qpisde.cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+assert run(["--help"]) == 0
+report("help")
+assert run(["converge", "--paths", "0"]) == 2
+report("exit-2")
+assert run(["stability", "--grid", "5", "--format", "svg"]) == 0
+report("svg")
+assert run(["stability", "--grid", "5"]) == 0
+report("stability")
+assert run(["simulate", "--n", "4"]) == 0
+report("simulate")
+assert run(["converge", "--n-list", "4,16", "--paths", "2"]) == 0
+report("converge")
+"""
+
+
+def test_each_step_loads_only_the_modules_it_runs():
+    done = subprocess.run([sys.executable, "-c", MODULES_SCRIPT], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = {step: set(modules) for step, *modules in map(str.split, done.stdout.splitlines())}
+    at_import = {"qpisde", "qpisde.cli", "qpisde.model"}
+    parser = at_import | {"qpisde.schemes", "qpisde.stability"}
+    assert loaded == {"import": at_import, "help": parser, "exit-2": parser, "svg": parser,
+                      "stability": parser | {"qpisde._csvtext"},
+                      "simulate": parser | {"qpisde._csvtext", "qpisde.brownian"},
+                      "converge": parser | {"qpisde._csvtext", "qpisde.brownian", "qpisde.analysis"}}
+
+
+# A bare `import qpisde`, then its version, a public name and a submodule by attribute.
+PACKAGE_SCRIPT = """
+import sys
+
+def report(step):
+    print(step, "numpy" in sys.modules, *sorted(name for name in sys.modules if name.startswith("qpisde.")))
+
+import qpisde
+report("import")
+assert qpisde.__version__
+report("version")
+assert qpisde.mix_seed.__module__ == "qpisde.brownian"
+report("name")
+assert qpisde.analysis.__name__ == "qpisde.analysis"
+report("submodule")
+"""
+
+
+def test_bare_import_loads_nothing_until_a_name_is_used():
+    done = subprocess.run([sys.executable, "-c", PACKAGE_SCRIPT], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = {step: (numpy, set(modules)) for step, numpy, *modules in map(str.split, done.stdout.splitlines())}
+    path_layers = {"qpisde.model", "qpisde.brownian"}
+    assert loaded == {"import": ("False", set()), "version": ("False", set()), "name": ("True", path_layers),
+                      "submodule": ("True", path_layers | {"qpisde.schemes", "qpisde.analysis"})}
 
 
 def _scipy_imports(node, top_level):
