@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import _increments, coarsen, generate_path, mix_seed
-from .model import GbmParams, InvalidInputError, _block_rows, _buffer, _count, _front, _half_sigma_sq, exact_solution
+from .model import GbmParams, InvalidInputError, _block_rows, _buffer, _count, _front, _growth, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 def error_norms(exact, approx, scratch=None):
@@ -101,8 +101,8 @@ def convergence_study(schemes, params: GbmParams, n_list, n_paths: int,
     The arrays of _workspace are allocated once.
     """
     schemes = [SchemeId.parse(s) for s in schemes]
-    if len(set(schemes)) != len(schemes):
-        raise InvalidInputError(f"schemes must not repeat, got {', '.join(s.value for s in schemes)}")
+    if not schemes or len(set(schemes)) != len(schemes):
+        raise InvalidInputError(f"schemes must be one or more, none repeated; got {[s.value for s in schemes]}")
     n_list, n_paths, shapes = _workspace(n_list, n_paths, len(schemes))
     n_max = n_list[-1]
     norms, work, *buffers = map(np.empty, shapes)
@@ -170,11 +170,10 @@ def local_error_study(params: GbmParams, dt_list, n_paths: int,
     for k, dt in enumerate(dts):
         z = _increments(seeds[k:k + 1], dt, draws)[0, 1:]
         dWa, dWb = z[:n_paths], z[n_paths:]
-        drift = (mu - _half_sigma_sq(sigma)) * 2.0 * dt
         for i in range(0, n_paths, step):  # a block's squared errors go over its dWa, once used
             a, b = dWa[i:i + step], dWb[i:i + step]
             _, beta = _qpi_alpha_beta(mu, sigma, dt, a, b)
-            delta = x0 * (np.exp(drift + sigma * (a + b)) - beta)
+            delta = x0 * (_growth(mu, sigma, 2.0 * dt, a + b) - beta)
             np.multiply(delta, delta, out=a)
         mean_sq[k] = float(np.mean(dWa))  # one pairwise sum over all samples, whatever the block size
     return LocalErrorReport(dt_list=dts, mean_sq=mean_sq)

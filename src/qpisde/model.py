@@ -1,9 +1,9 @@
 """Geometric Brownian motion problem definition and its closed-form solution.
 
 The model is dX = mu*X dt + sigma*X dW with deterministic initial value x0.
-Coefficients are autonomous (no explicit time dependence). The rules all layers
-share live here too: the error types (QpisdeError, InvalidInputError, SingularStepError),
-the Ito correction sigma^2/2 and the block rule that sizes batched work.
+Coefficients are autonomous (no explicit time dependence). The rules all layers share live
+here too: the error types (QpisdeError, InvalidInputError, SingularStepError), the Ito
+correction sigma^2/2, the exact solution's growth factor and the block rule that sizes batched work.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ def _half_sigma_sq(sigma):
     return 0.5 * np.float64(sigma)**2
 
 
+def _growth(mu, sigma, t, w, out=None):
+    """exp((mu - sigma^2/2) t + sigma w), the exact solution's growth factor from 0 to t, in out (w allowed)."""
+    x = np.multiply(sigma, w, out=out)
+    x += t * (mu - _half_sigma_sq(sigma))
+    return np.exp(x, out=x)
+
+
 def _count(n, what: str, least: int = 1) -> int:
     """n as a Python int, if it is an int >= least, Python or numpy, not a bool; what names it."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -103,8 +110,6 @@ def exact_solution(params: GbmParams, t_end: float, w, out=None) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     n = w.shape[-1] - 1 if w.ndim else 0
     _step_size(t_end, n)
-    x = np.multiply(params.sigma, w, out=_buffer(out, w.shape))
-    x += np.linspace(0.0, t_end, n + 1) * (params.mu - _half_sigma_sq(params.sigma))
-    np.exp(x, out=x)
+    x = _growth(params.mu, params.sigma, np.linspace(0.0, t_end, n + 1), w, out=_buffer(out, w.shape))
     x *= params.x0
     return x

@@ -98,6 +98,14 @@ MUTANTS = (
            "return np.float64(sigma)**2",
            ("test_model.py", "test_schemes.py", "test_exact_moments.py", "test_acceptance.py",
             "test_stability.py")),
+    Mutant("growth-without-ito-term", "model.py",
+           "x += t * (mu - _half_sigma_sq(sigma))",
+           "x += t * mu",
+           ("test_model.py", "test_exact_moments.py", "test_acceptance.py")),
+    Mutant("local-error-exact-at-dt", "analysis.py",
+           "_growth(mu, sigma, 2.0 * dt, a + b)",
+           "_growth(mu, sigma, dt, a + b)",
+           ("test_analysis.py", "test_exact_moments.py")),
     Mutant("block-rows-one-more", "model.py",
            "return max(1, _BATCH_VALUES // values_per_row)",
            "return max(1, _BATCH_VALUES // values_per_row) + 1",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpisde import (GbmParams, InvalidInputError, LocalErrorReport, coarsen, convergence_study,
+from qpisde import (GbmParams, InvalidInputError, LocalErrorReport, analysis, coarsen, convergence_study,
                     error_norms, generate_path, local_error_study, region_scan)
 
 
@@ -90,6 +90,12 @@ class TestConvergenceStudy:
         for schemes in (["qpi", "qpi"], ["qpi", "em", "QPI"]):
             with pytest.raises(InvalidInputError, match="repeat"):
                 convergence_study(schemes, p, [4, 16], 2, 0)
+
+    def test_no_schemes(self, monkeypatch):
+        # an empty list once drew every path and returned a table of no rows
+        monkeypatch.setattr(analysis, "generate_path", lambda *args, **kwargs: pytest.fail("drew a path"))
+        with pytest.raises(InvalidInputError, match="schemes must be one or more"):
+            convergence_study([], GbmParams(mu=-1.0, sigma=0.5), [4], 2, 1)
 
     @pytest.mark.parametrize("n_list", [[True, 2], [1, True]], ids=["true-first", "true-last"])
     def test_every_n_is_an_integer_not_a_bool(self, n_list):
