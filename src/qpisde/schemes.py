@@ -46,22 +46,15 @@ class QpiBlockCoeffs(NamedTuple):
     beta: float
 
 
-def _qpi_divisor(h):
-    """The block divisor E = 1 - h/3 (h = mu*dt), the one that vanishes: D = 1 - h + h^2/3 is >= 1/4."""
-    return 1.0 - h / 3.0
+# step -> its divisor of h = mu*dt, the one that vanishes (the block's D = 1 - h + h^2/3 is >= 1/4)
+_DIVISORS = {"block system": lambda h: 1.0 - h / 3.0, "implicit EM step": lambda h: 1.0 - h}
 
 
-def _iem_divisor(h):
-    """The drift-implicit EM step's divisor 1 - h (h = mu*dt)."""
-    return 1.0 - h
-
-
-def _nonzero(divisor, h):
-    """divisor(h), one of the two above; raises SingularStepError, naming its step, where it vanishes."""
-    d = divisor(h)
+def _nonzero(step, h):
+    """The divisor of step at h; raises SingularStepError, naming the step, where it vanishes."""
+    d = _DIVISORS[step](h)
     if np.count_nonzero(d == 0.0):
-        what = "block system" if divisor is _qpi_divisor else "implicit EM step"
-        raise SingularStepError(f"{what} singular for mu*dt = {h}")
+        raise SingularStepError(f"{step} singular for mu*dt = {h}")
     return d
 
 
@@ -74,7 +67,7 @@ def _mu_dt(mu, dt):
 
 def _qpi_denominators(h):
     """Block denominators D = 1 - h + h^2/3 and E; raises SingularStepError where E = 0."""
-    return 1.0 - h + h * h / 3.0, _nonzero(_qpi_divisor, h)
+    return 1.0 - h + h * h / 3.0, _nonzero("block system", h)
 
 
 def _qpi_alpha_beta(mu: float, sigma: float, dt: float, dWa, dWb, out=None):
@@ -117,7 +110,7 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
     """
     h = float(_mu_dt(params.mu, dt))
     s = params.sigma
-    _qpi_denominators(h)  # singularity guard only; the solve below is independent
+    _nonzero("block system", h)  # singularity guard only; the solve below is independent
     m = np.array([[1.0 - 2.0 * h / 3.0, h / 12.0],
                   [-4.0 * h / 3.0, 1.0 - h / 3.0]])
     rhs = np.array([1.0 + 5.0 * h / 12.0 + s * dWa,
@@ -138,7 +131,7 @@ def _one_step_multipliers(scheme: SchemeId, params: GbmParams, dt: float, dW, ou
     elif scheme is SchemeId.IMPLICIT_EM:  # (1 + sigma dW) / (1 - mu dt)
         np.multiply(sigma, dW, out=out)
         out += 1.0
-        out /= _nonzero(_iem_divisor, mu * dt)
+        out /= _nonzero("implicit EM step", mu * dt)
     else:  # 1 + mu dt + sigma dW + (dW^2 - dt) sign sigma^2/2
         sign = 1.0 if scheme is SchemeId.MILSTEIN else -1.0
         np.multiply(dW, dW, out=out)

@@ -2,9 +2,12 @@
 
 Two conditions are provided for the two-step scheme:
 
-* qpi_paper_lhs - the published quotient, implemented verbatim. Its cross
-  term takes absolute values inside the expectation, so it is an upper
-  bound, not the exact second moment.
+* qpi_paper_lhs - the published quotient, implemented verbatim. For small
+  dt it is 1 + (4 mu + sigma^2) dt + O(dt^2), against 1 + (4 mu + 2 sigma^2) dt
+  + O(dt^2) for the exact E[beta^2], so for mu in (-sigma^2/2, -sigma^2/4) it
+  calls parameters stable whose second moment grows. Its cross term takes
+  absolute values inside the expectation, and where that term dominates
+  (checked at sigma = 0.5, mu*dt <= -0.3) it bounds E[beta^2] from above.
 * qpi_exact_amplification - the exact per-block second-moment factor
   E[beta^2], obtained from the decomposition beta = A + B*dWa + C*dWb with
   independent N(0, dt) increments.
@@ -20,7 +23,7 @@ from itertools import compress
 import numpy as np
 
 from .model import GbmParams, InvalidInputError, _block_rows, _count
-from .schemes import _iem_divisor, _mu_dt, _nonzero, _qpi_denominators, _qpi_divisor
+from .schemes import _DIVISORS, _mu_dt, _nonzero, _qpi_denominators
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
 
@@ -67,7 +70,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
 
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
-    num, den = 1.0 + sigma * sigma * dt, _nonzero(_iem_divisor, _mu_dt(mu, dt))
+    num, den = 1.0 + sigma * sigma * dt, _nonzero("implicit EM step", _mu_dt(mu, dt))
     with np.errstate(over="ignore"):  # den^2 is inf for |1 - mu*dt| > ~1.3e154
         den2 = den * den
     return _value(np.where(np.isinf(den2), num / den / den, num / den2))
@@ -100,12 +103,12 @@ class RegionGrid:
     verdicts: np.ndarray
 
 
-# condition -> (function, its divisor of h = mu*dt: the function raises SingularStepError where it is 0)
+# condition -> (function, its step in schemes._DIVISORS, whose zeros make it raise; None: no divisor)
 _CONDITIONS = {
-    "qpi-paper": (qpi_paper_lhs, _qpi_divisor),
-    "qpi-exact": (qpi_exact_amplification, _qpi_divisor),
-    "iem": (iem_amplification, _iem_divisor),
-    "milstein": (milstein_amplification, np.ones_like),  # Milstein's divisor never vanishes
+    "qpi-paper": (qpi_paper_lhs, "block system"),
+    "qpi-exact": (qpi_exact_amplification, "block system"),
+    "iem": (iem_amplification, "implicit EM step"),
+    "milstein": (milstein_amplification, None),
 }
 
 
@@ -135,11 +138,11 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     resolution = _count(resolution, "resolution", 2)
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)
-    fn, divisor = _CONDITIONS[condition]
+    fn, singular_step = _CONDITIONS[condition]
     lhs, dt, step = np.empty((resolution, resolution)), dt_axis[None, :], _block_rows(4 * resolution)
     for start in range(0, resolution, step):
         mu, block = mu_axis[start:start + step, None], lhs[start:start + step]
-        singular = divisor(mu * dt) == 0.0
+        singular = _DIVISORS[singular_step](mu * dt) == 0.0 if singular_step else np.zeros(block.shape, bool)
         # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1
         block[...] = fn(np.where(singular, 0.0, mu), sigma, dt)
         if not (np.isfinite(block) | singular).all():

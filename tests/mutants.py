@@ -53,8 +53,8 @@ MUTANTS = (
            "    u += 0.25\n",
            ("test_brownian.py",)),
     Mutant("iem-divisor-1.001h", "schemes.py",
-           "    return 1.0 - h\n",
-           "    return 1.0 - 1.001 * h\n",
+           '"implicit EM step": lambda h: 1.0 - h}',
+           '"implicit EM step": lambda h: 1.0 - 1.001 * h}',
            ("test_schemes.py", "test_stability.py", "test_cli.py")),
     Mutant("alpha-h-over-6", "schemes.py",
            "sigma * (h / 12.0)",
@@ -126,6 +126,18 @@ MUTANTS = (
            "\nfrom .model import",
            "\nfrom . import analysis\nfrom .model import",
            ("test_coldstart.py", "test_layering.py")),
+    Mutant("paper-lhs-cross-term-signed", "stability.py",
+           "np.abs(a3 * a2)",
+           "(a3 * a2)",
+           ("test_stability.py", "test_acceptance.py")),
+    Mutant("iem-amplification-half-noise", "stability.py",
+           "1.0 + sigma * sigma * dt,",
+           "1.0 + sigma * sigma * dt / 2,",
+           ("test_stability.py", "test_cli.py")),
+    Mutant("milstein-scanned-at-block-pole", "stability.py",
+           '"milstein": (milstein_amplification, None)',
+           '"milstein": (milstein_amplification, "block system")',
+           ("test_stability.py",)),
 )
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qpisde import (GbmParams, InvalidInputError, SchemeId, SingularStepError,
                     exact_solution, generate_path, integrate, mix_seed,
                     qpi_block_solve_oracle)
-from qpisde.schemes import _qpi_alpha_beta, _qpi_divisor
+from qpisde.schemes import _DIVISORS, _qpi_alpha_beta
 
 P = GbmParams(mu=-1.0, sigma=0.5)
 
@@ -190,7 +190,7 @@ class TestQpiBlock:
     def test_singular_set_is_where_a_denominator_vanishes(self, h):
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at h = inf
             d, e = 1.0 - h + h * h / 3.0, 1.0 - h / 3.0
-        assert (_qpi_divisor(h) == 0.0) == ((d == 0.0) | (e == 0.0))
+        assert (_DIVISORS["block system"](h) == 0.0) == ((d == 0.0) | (e == 0.0))
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_oracle_rejects_dt_not_finite_and_positive(self, dt):

@@ -105,6 +105,27 @@ class TestExactAmplification:
         assert qpi_paper_lhs(0.0, 0.5, 0.5) < qpi_exact_amplification(0.0, 0.5, 0.5)
         assert qpi_paper_lhs(-0.2, 0.5, 0.5) < qpi_exact_amplification(-0.2, 0.5, 0.5)
 
+    # to first order in dt the quotient is 1 + (4 mu + sigma^2) dt and E[beta^2] is
+    # 1 + (4 mu + 2 sigma^2) dt, so it certifies mu in (-sigma^2/2, -sigma^2/4)
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("dt", [0.01, 0.05])
+    def test_paper_condition_certifies_growing_moment_in_band(self, sigma, dt):
+        for mu in (-0.3 * sigma**2, -0.4 * sigma**2):
+            assert qpi_paper_lhs(mu, sigma, dt) < 1.0 < qpi_exact_amplification(mu, sigma, dt)
+        mu = -0.55 * sigma**2  # just outside the band both call it stable
+        assert qpi_paper_lhs(mu, sigma, dt) < qpi_exact_amplification(mu, sigma, dt) < 1.0
+
+    def test_paper_condition_wrong_only_in_band_on_bench_grid(self):
+        sigma = 0.5
+        paper, exact = (region_scan(c, sigma, (-4.0, 1.0), (0.01, 1.0), 300)
+                        for c in ("qpi-paper", "qpi-exact"))
+        assert not (exact.verdicts & ~paper.verdicts).any()
+        wrong = paper.verdicts & ~exact.verdicts
+        rows = paper.mu_axis[wrong.any(axis=1)]
+        assert wrong.sum() == 1088
+        np.testing.assert_allclose(rows, [-0.1204, -0.1037, -0.0870, -0.0702], atol=1e-4)
+        assert ((-sigma**2 / 2 < rows) & (rows < -sigma**2 / 4)).all()
+
 
 @pytest.mark.parametrize("fn", [qpi_paper_lhs, qpi_exact_amplification])
 @pytest.mark.parametrize("mu,dt", [(3.0, 1.0), (6.0, 0.5)])
