@@ -6,14 +6,15 @@ grid in a convergence study restricts the same node values, so all schemes
 and all step counts see the same underlying randomness.
 
 Sampling method (fixed for reproducibility): a numpy PCG64 bit generator
-seeded with the path seed gives one raw 64-bit word per increment; its top 53
-bits k become the uniform (k + 0.5) / 2^53, which is mapped to a standard
-normal through the inverse normal CDF (scipy.special.ndtri, imported at the
-first draw, so code that draws no normal runs on numpy alone) and scaled by
-sqrt(dt). The k are exactly default_rng(seed).integers(0, 2**53): for a
-power-of-two range numpy's bounded-integer draw never rejects a word and
-keeps its top 53 bits. Per-path seeds for Monte Carlo runs are derived from
-a master seed and the path index with a splitmix64 mix.
+seeded with the path seed gives one 64-bit word per increment, and
+Generator.random turns its top 53 bits k into k / 2^53; adding 2^-54 makes
+the uniform (k + 0.5) / 2^53, which is mapped to a standard normal through
+the inverse normal CDF (scipy.special.ndtri, imported at the first draw, so
+code that draws no normal runs on numpy alone) and scaled by sqrt(dt). The k
+are exactly default_rng(seed).integers(0, 2**53): for a power-of-two range
+numpy's bounded-integer draw never rejects a word and keeps its top 53 bits.
+Per-path seeds for Monte Carlo runs are derived from a master seed and the
+path index with a splitmix64 mix.
 
 A seed is an integer in [0, 2^64). _increments is the one routine that turns
 seeds into increments, for generate_path and for analysis.local_error_study:
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .model import InvalidInputError, _block_rows, _buffer, _count, _step_size
+from .model import InvalidInputError, _buffer, _count, _step_size
 
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 # numpy's SeedSequence: the running hash keys init * mult^i mod 2^32 of its pool (i <= 16)
@@ -102,18 +103,15 @@ class _Hashed:  # a seed sequence of hashed words: PCG64(_Hashed(row)) is PCG64(
         return self.row
 
 
-def _standard_normal(raw: np.ndarray) -> np.ndarray:
-    """Inverse-CDF normals from raw PCG64 words, computed in their own memory.
+def _standard_normal(u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF normals from uniforms k / 2^53, computed in their own memory.
 
-    The top 53 bits k of each word give u = (k + 0.5) / 2^53 strictly inside
-    (0, 1): for k >= 2^52 the + 0.5 rounds to even, and k = 2^53 - 1 (u = 1)
-    is clamped to 1 - 2^-53. The result is a float64 view of raw.
+    Adding 2^-54 gives u = (k + 0.5) / 2^53 strictly inside (0, 1), rounded as
+    that quotient is: for k >= 2^52 the + 0.5 rounds to even, and k = 2^53 - 1
+    (u = 1) is clamped to 1 - 2^-53. The result is u.
     """
     from scipy.special import ndtri  # ~0.3 s to import; only normal draws need it
-    u = raw.view(np.float64)
-    u[...] = np.right_shift(raw, 11, out=raw)  # cast in place: np.add(raw, 0.5, out=u) copies raw first
-    u += 0.5
-    u /= float(1 << 53)
+    u += 2.0**-54
     np.minimum(u, 1.0 - 2.0**-53, out=u)
     return ndtri(u, out=u)
 
@@ -122,18 +120,15 @@ def _increments(seeds, dt: float, rows: np.ndarray) -> np.ndarray:
     """Fill rows, C-contiguous float64 of shape (len(seeds), n + 1), with W(0) = 0 and then n N(0, dt)
     increments of each seed of the 1-d uint64 array seeds, by the module docstring's method; return rows.
 
-    Raw words, normals and increments share rows' memory in turn; a row's words are
-    copied in from pieces of at most _block_rows(1) words.
+    Uniforms, normals and increments share rows' memory in turn.
     """
-    from numpy.random import PCG64, bit_generator  # ~15 ms to import; only draws need it
+    from numpy.random import PCG64, Generator, bit_generator  # ~15 ms to import; only draws need it
     bit_generator.ISeedSequence.register(_Hashed)
-    piece = _block_rows(1)  # the PCG64 stream goes on across random_raw calls
-    for row, words in zip(rows[:, 1:].view(np.uint64), _seed_words(seeds), strict=True):
-        bitgen = PCG64(_Hashed(words))
-        for start in range(0, len(row), piece):
-            row[start:start + piece] = bitgen.random_raw(min(piece, len(row) - start))
-    # elementwise over rows' memory as one block, each row's first value included (a stray word until zeroed)
-    z = _standard_normal(rows.reshape(-1)[1:].view(np.uint64))
+    for row, words in zip(rows[:, 1:], _seed_words(seeds), strict=True):
+        Generator(PCG64(_Hashed(words))).random(out=row)
+    # elementwise over rows' memory as one block, each row's first value included (zeroed before and after)
+    rows[:, 0] = 0.0
+    z = _standard_normal(rows.reshape(-1)[1:])
     z *= math.sqrt(dt)
     rows[:, 0] = 0.0
     return rows

@@ -38,10 +38,9 @@ import numpy as np
 def one_step_coefficients(scheme, mu, sigma, dt):
     """(c0, c1, c2) of a one-step scheme's multiplier c0 + c1 dW + c2 (dW^2 - dt)."""
     h = mu * dt
-    return {"em": (1 + h, sigma, 0.0),
-            "iem": (1 / (1 - h), sigma / (1 - h), 0.0),
-            "milstein": (1 + h, sigma, sigma**2 / 2),
-            "milstein-paper": (1 + h, sigma, -sigma**2 / 2)}[scheme]
+    if scheme == "iem":
+        return 1 / (1 - h), sigma / (1 - h), 0
+    return 1 + h, sigma, {"em": 0, "milstein": sigma**2 / 2, "milstein-paper": -sigma**2 / 2}[scheme]
 
 
 def block_coefficients(mu, sigma, dt):
@@ -54,7 +53,7 @@ def block_coefficients(mu, sigma, dt):
     (m00, m01), (m10, m11) = (1 - 2 * h / 3, h / 12), (-4 * h / 3, 1 - h / 3)
     det = m00 * m11 - m01 * m10
     parts = [((r0 * m11 - m01 * r1) / det, (m00 * r1 - m10 * r0) / det)
-             for r0, r1 in ((1 + 5 * h / 12, 1 + h / 3), (sigma, sigma), (0.0, sigma))]
+             for r0, r1 in ((1 + 5 * h / 12, 1 + h / 3), (sigma, sigma), (0, sigma))]
     return tuple(zip(*parts))
 
 

@@ -49,13 +49,21 @@ MUTANTS = (
            "np.sqrt(e.sum(axis=-1) / (n + 1))",
            ("test_analysis.py", "test_exact_moments.py")),
     Mutant("uniform-offset-quarter", "brownian.py",
-           "    u += 0.5\n",
-           "    u += 0.25\n",
+           "    u += 2.0**-54\n",
+           "    u += 2.0**-55\n",
+           ("test_brownian.py",)),
+    Mutant("uniform-clamp-dropped", "brownian.py",
+           "    np.minimum(u, 1.0 - 2.0**-53, out=u)\n",
+           "",
+           ("test_brownian.py",)),
+    Mutant("stale-first-values-fed-to-ndtri", "brownian.py",
+           "    rows[:, 0] = 0.0\n    z = _standard_normal",
+           "    z = _standard_normal",
            ("test_brownian.py",)),
     Mutant("iem-divisor-1.001h", "schemes.py",
            '"implicit EM step": lambda h: 1.0 - h}',
            '"implicit EM step": lambda h: 1.0 - 1.001 * h}',
-           ("test_schemes.py", "test_stability.py", "test_cli.py")),
+           ("test_schemes.py", "test_stability.py", "test_exact_stability.py", "test_cli.py")),
     Mutant("alpha-h-over-6", "schemes.py",
            "sigma * (h / 12.0)",
            "sigma * (h / 6.0)",
@@ -129,11 +137,11 @@ MUTANTS = (
     Mutant("paper-lhs-cross-term-signed", "stability.py",
            "np.abs(a3 * a2)",
            "(a3 * a2)",
-           ("test_stability.py", "test_acceptance.py")),
+           ("test_stability.py", "test_exact_stability.py", "test_acceptance.py")),
     Mutant("iem-amplification-half-noise", "stability.py",
            "1.0 + sigma * sigma * dt,",
            "1.0 + sigma * sigma * dt / 2,",
-           ("test_stability.py", "test_cli.py")),
+           ("test_stability.py", "test_exact_stability.py", "test_cli.py")),
     Mutant("milstein-scanned-at-block-pole", "stability.py",
            '"milstein": (milstein_amplification, None)',
            '"milstein": (milstein_amplification, "block system")',

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import errstate, ndtri
 
 from qpisde import InvalidInputError, brownian, coarsen, generate_path, mix_seed
 from qpisde.brownian import _seed_words, _standard_normal
@@ -191,22 +192,57 @@ TOP_DRAWS = np.array([0, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
 
 
 def test_standard_normal_finite_at_top_draw():
-    # k = 2^53 - 1 makes k + 0.5 round to 2^53, so u = 1 would map to +inf;
-    # the low 11 bits of each raw word are set and must be dropped (the last word is 2^64 - 1)
-    raw = (TOP_DRAWS << np.uint64(11)) | np.uint64(0x7FF)
-    assert raw[-1] == np.uint64(2**64 - 1)
-    z = _standard_normal(raw)
+    # k = 2^53 - 1 makes k + 0.5 round to 2^53, so u = 1 would map to +inf
+    z = _standard_normal(TOP_DRAWS * 2.0**-53)
     assert np.all(np.isfinite(z))
     expected = ndtri((TOP_DRAWS[:3] + 0.5) / float(1 << 53))
     assert np.array_equal(z[:3].view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("seed", [0, 85, 2**64 - 1] + [mix_seed(m, k) for m, k in ((0, 0), (7, 3), (85, 999))])
+SEEDS = [0, 85, 2**64 - 1] + [mix_seed(m, k) for m, k in ((0, 0), (7, 3), (85, 999))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_integers_equal_top_bits_of_raw_words(seed):
-    # the identity the raw-word sampling rests on: for a power-of-two range, numpy's
+    # the identity the documented method rests on: for a power-of-two range, numpy's
     # bounded draw (Lemire's method) never rejects a word and keeps its top 53 bits
     k = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**53, size=4096, dtype=np.uint64)
     assert np.array_equal(k, np.random.PCG64(seed).random_raw(4096) >> np.uint64(11))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_equals_top_bits_of_raw_words_over_2_53(seed):
+    # the identity the draw rests on: Generator.random gives k / 2^53 from the same words as k
+    u = np.random.Generator(np.random.PCG64(seed)).random(4096)
+    expected = (np.random.PCG64(seed).random_raw(4096) >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
+
+
+def test_draw_allocates_no_word_buffer():
+    # uniforms, normals and nodes are computed in the out buffer: no buffer of words is allocated
+    buf = np.empty(2**20 + 1)
+    generate_path(7, 1.0, 2**20, out=buf)  # imports and registrations happen outside the trace
+    tracemalloc.start()
+    try:
+        generate_path(7, 1.0, 2**20, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_draw_ignores_what_its_buffer_held():
+    # no stale value reaches ndtri, not even in a row's first slot, where the
+    # flat pass over the buffer sees it: ndtri raises on nan and -inf here
+    seeds = np.array([3, 2**64 - 1], dtype=np.uint64)
+    stale = np.full((2, 65), np.nan)
+    stale[:, ::3] = np.inf
+    stale[1, 0] = -np.inf
+    with warnings.catch_warnings(), np.errstate(all="raise"), errstate(all="raise"):
+        warnings.simplefilter("error")
+        w = generate_path(seeds, 2.0, 64, out=stale)
+    assert w is stale
+    assert np.array_equal(w.view(np.uint64), generate_path(seeds, 2.0, 64, out=np.zeros((2, 65))).view(np.uint64))
 
 
 def documented_path(seed, t_end, n):

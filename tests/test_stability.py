@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from exact_stability import paper_quotient
 from qpisde import model
 from qpisde import (GbmParams, InvalidInputError, RegionGrid, SchemeId, SingularStepError,
                     iem_amplification, milstein_amplification,
@@ -15,30 +16,19 @@ from qpisde.schemes import _one_step_multipliers, _qpi_alpha_beta
 from same_text import assert_same_text
 
 
-def paper_lhs_reference(mu, sigma, dt):
-    """Independent term-by-term evaluation of the published quotient."""
-    h = mu * dt
-    t1 = abs(1 + 2 * h / 3 - h**3 / 9) ** 2
-    t2 = dt * abs(sigma * (1 - h + 2 * h**2 / 9)) ** 2
-    t3 = dt * abs(sigma * (4 * h / 3) * (1 - h / 3)) ** 2
-    t4 = dt * abs(sigma**2 * (4 * h / 3) * (1 - h / 3) * (1 - h + 2 * h**2 / 9))
-    den = abs(1 - h + h**2 / 3) ** 2 * abs(1 - h / 3) ** 2
-    return (t1 + t2 + t3 + t4) / den
-
-
 class TestPaperCondition:
     def test_zero_drift(self):
         assert qpi_paper_lhs(0.0, 0.5, 0.5) == pytest.approx(1.125, rel=1e-14)
 
     def test_stable_anchor(self):
         v = qpi_paper_lhs(-1.0, 0.5, 0.5)
-        assert v == pytest.approx(paper_lhs_reference(-1.0, 0.5, 0.5), rel=1e-13)
+        assert v == pytest.approx(paper_quotient(-1.0, 0.5, 0.5), rel=1e-13)
         assert v == pytest.approx(0.2909, rel=1e-3)
         assert v < 1.0
 
     def test_unstable_anchor(self):
         v = qpi_paper_lhs(1.0, 0.5, 0.5)
-        assert v == pytest.approx(paper_lhs_reference(1.0, 0.5, 0.5), rel=1e-13)
+        assert v == pytest.approx(paper_quotient(1.0, 0.5, 0.5), rel=1e-13)
         assert v == pytest.approx(7.857, rel=1e-3)
         assert v > 1.0
 
@@ -46,7 +36,7 @@ class TestPaperCondition:
         for mu in np.linspace(-4.0, 1.0, 11):
             for dt in np.linspace(0.05, 1.0, 9):
                 assert qpi_paper_lhs(mu, 0.5, dt) == \
-                    pytest.approx(paper_lhs_reference(mu, 0.5, dt), rel=1e-12)
+                    pytest.approx(paper_quotient(mu, 0.5, dt), rel=1e-12)
 
     def test_vectorized_over_mu(self):
         mus = np.array([-2.0, -1.0, 0.0, 1.0])
