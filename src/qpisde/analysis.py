@@ -19,23 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import _increments, coarsen, generate_path, mix_seed
-from .model import GbmParams, InvalidInputError, _block_rows, _buffer, _count, _front, _growth, exact_solution
+from .model import GbmParams, InvalidInputError, _block_rows, _buffer, _count, _front, _growth, _nodes, exact_solution
 from .schemes import SchemeId, _qpi_alpha_beta, integrate
 
 def error_norms(exact, approx, scratch=None):
     """Discrete (l1, l2, linf) error norms along the last (node) axis.
 
-    exact and approx hold trajectories on one grid, one row per path; each
-    norm has one value per row (a scalar for a single trajectory). The call's
-    temporaries go to scratch if given, under the kernels' buffer rule
-    (model._buffer); scratch may be exact or approx itself.
+    exact and approx hold trajectories on one grid of at least two nodes, one row per
+    path (model._nodes); each norm has one value per row (a scalar for a single
+    trajectory). The call's temporaries go to scratch if given, under the kernels'
+    buffer rule (model._buffer); scratch may be exact or approx itself.
     """
-    exact, approx = np.asarray(exact, dtype=float), np.asarray(approx, dtype=float)
-    if exact.shape != approx.shape or exact.ndim == 0:
+    (exact, n), approx = _nodes(exact), np.asarray(approx, dtype=float)
+    if exact.shape != approx.shape:
         raise InvalidInputError(f"trajectory shapes differ: {exact.shape} and {approx.shape}")
-    n = exact.shape[-1] - 1
-    if n < 1:
-        raise InvalidInputError("trajectories must have at least two nodes")
     e = np.subtract(exact, approx, out=_buffer(scratch, exact.shape))
     np.abs(e, out=e)
     l1, linf = e.sum(axis=-1) / n, e.max(axis=-1)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .model import InvalidInputError, _buffer, _count, _step_size
+from .model import InvalidInputError, _buffer, _count, _nodes, _step_size
 
 _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 # numpy's SeedSequence: the running hash keys init * mult^i mod 2^32 of its pool (i <= 16)
@@ -155,12 +155,12 @@ def generate_path(seed, t_end: float, n_fine: int, out=None) -> np.ndarray:
 
 
 def coarsen(w: np.ndarray, factor: int) -> np.ndarray:
-    """Restrict paths (nodes on the last axis) to every factor-th node.
+    """Restrict paths (nodes on the last axis, at least two: model._nodes) to every factor-th node.
 
-    Node values at shared nodes are preserved bit-exactly, so coarsening
-    commutes with itself: coarsen(coarsen(w, a), b) == coarsen(w, a*b).
+    Node values at shared nodes are preserved bit-exactly, so coarsening commutes
+    with itself: coarsen(coarsen(w, a), b) == coarsen(w, a*b); a float64 w gives a view.
     """
-    n_fine, factor = np.shape(w)[-1] - 1, _count(factor, "factor")
+    (w, n_fine), factor = _nodes(w), _count(factor, "factor")
     if n_fine % factor != 0:
         raise InvalidInputError(f"factor {factor} does not divide n_fine {n_fine}")
     return w[..., ::factor]

@@ -76,6 +76,14 @@ def _count(n, what: str, least: int = 1) -> int:
     return int(n)
 
 
+def _nodes(w):
+    """w as a float array of node values on its last axis, and its step count N: the one check of a node array."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 0 or w.shape[-1] < 2:
+        raise InvalidInputError(f"a node array needs at least two nodes (step count >= 1), got shape {w.shape}")
+    return w, w.shape[-1] - 1
+
+
 def _step_size(t_end: float, n) -> float:
     """The step t_end / n of n uniform steps on [0, t_end]; the one check of t_end and N."""
     if not (t_end > 0 and math.isfinite(t_end)):
@@ -107,8 +115,7 @@ def exact_solution(params: GbmParams, t_end: float, w, out=None) -> np.ndarray:
     driven by the same noise as a numerical trajectory. It goes to out if
     given, under the kernels' buffer rule (_buffer); out may be w itself.
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[-1] - 1 if w.ndim else 0
+    w, n = _nodes(w)
     _step_size(t_end, n)
     x = _growth(params.mu, params.sigma, np.linspace(0.0, t_end, n + 1), w, out=_buffer(out, w.shape))
     x *= params.x0

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import GbmParams, InvalidInputError, SingularStepError, _buffer, _front, _half_sigma_sq, _step_size
+from .model import GbmParams, InvalidInputError, SingularStepError, _buffer, _front, _half_sigma_sq, _nodes, _step_size
 
 
 class SchemeId(enum.Enum):
@@ -59,10 +59,11 @@ def _nonzero(step, h):
 
 
 def _mu_dt(mu, dt):
-    """h = mu*dt, after checking that every dt is finite and > 0."""
+    """(h = mu*dt, dt) as float arrays from scalars, lists or arrays, once every dt is finite and > 0."""
+    dt = np.asarray(dt, dtype=float)
     if not (np.isfinite(dt) & np.greater(dt, 0)).all():
         raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
-    return np.asarray(mu, dtype=float) * dt
+    return np.asarray(mu, dtype=float) * dt, dt
 
 
 def _qpi_denominators(h):
@@ -108,7 +109,7 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
 
     Kept independent of the closed form; used to cross-check it in tests.
     """
-    h = float(_mu_dt(params.mu, dt))
+    h = float(_mu_dt(params.mu, dt)[0])
     s = params.sigma
     _nonzero("block system", h)  # singularity guard only; the solve below is independent
     m = np.array([[1.0 - 2.0 * h / 3.0, h / 12.0],
@@ -155,8 +156,7 @@ def integrate(scheme: SchemeId | str, params: GbmParams, t_end: float, w,
     block multipliers; the one-step schemes fill sequentially.
     """
     scheme = SchemeId.parse(scheme)
-    w = np.asarray(w, dtype=float)
-    n = w.shape[-1] - 1 if w.ndim else 0
+    w, n = _nodes(w)
     dt = _step_size(t_end, n)
     if scheme is SchemeId.QPI and n % 2 != 0:
         raise InvalidInputError(f"N must be even for qpi, got {n}")

@@ -37,7 +37,7 @@ def qpi_paper_lhs(mu: float, sigma: float, dt: float):
 
     Accepts scalars or broadcastable arrays.
     """
-    h = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, dt)
     s2 = sigma * sigma
     d1, d2 = _qpi_denominators(h)
     a1 = 1.0 + 2.0 * h / 3.0 - h**3 / 9.0
@@ -56,7 +56,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
     beta = A + B*dWa + C*dWb with dWa, dWb independent N(0, dt); A, B, C
     follow from the closed-form block coefficients.
     """
-    h = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, dt)
     s = sigma
     d1, d2 = _qpi_denominators(h)
     a0 = (1.0 - h * h / 6.0) / d1
@@ -70,7 +70,8 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
 
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
-    num, den = 1.0 + sigma * sigma * dt, _nonzero("implicit EM step", _mu_dt(mu, dt))
+    h, dt = _mu_dt(mu, dt)
+    num, den = 1.0 + sigma * sigma * dt, _nonzero("implicit EM step", h)
     with np.errstate(over="ignore"):  # den^2 is inf for |1 - mu*dt| > ~1.3e154
         den2 = den * den
     return _value(np.where(np.isinf(den2), num / den / den, num / den2))
@@ -82,7 +83,7 @@ def milstein_amplification(mu: float, sigma: float, dt: float):
     Identical for both sign conventions, so it covers the scheme ids `milstein`
     and `milstein-paper`: the correction is orthogonal to dW, its square sign-free.
     """
-    h = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, dt)
     # np.float64 ** gives inf on overflow where float ** raises
     return _value((1.0 + h)**2 + sigma * sigma * dt + 0.5 * np.float64(sigma)**4 * dt * dt)
 
@@ -122,7 +123,7 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     its function raises SingularStepError) get lhs = nan and are unstable. The
     condition is evaluated elementwise per block of mu rows (region_to_csv's chunk)
     with the regular stand-in mu = 0 at singular cells, so no value depends on
-    its neighbours; an overflow at a regular cell raises InvalidInputError.
+    its neighbours; an overflow at a regular cell raises InvalidInputError, never a warning.
     """
     if condition not in _CONDITIONS:
         raise InvalidInputError(
@@ -143,8 +144,9 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
     for start in range(0, resolution, step):
         mu, block = mu_axis[start:start + step, None], lhs[start:start + step]
         singular = _DIVISORS[singular_step](mu * dt) == 0.0 if singular_step else np.zeros(block.shape, bool)
-        # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1
-        block[...] = fn(np.where(singular, 0.0, mu), sigma, dt)
+        # at mu = 0 every condition is regular: E = 1 - h/3 and 1 - h are 1; the check below reports overflow
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block[...] = fn(np.where(singular, 0.0, mu), sigma, dt)
         if not (np.isfinite(block) | singular).all():
             raise InvalidInputError("stability condition overflowed to inf or nan away from a "
                                     "singular point; no output written")

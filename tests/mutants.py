@@ -142,6 +142,14 @@ MUTANTS = (
            "1.0 + sigma * sigma * dt,",
            "1.0 + sigma * sigma * dt / 2,",
            ("test_stability.py", "test_exact_stability.py", "test_cli.py")),
+    Mutant("nodes-admit-one-node", "model.py",
+           "if w.ndim == 0 or w.shape[-1] < 2:",
+           "if w.ndim == 0 or w.shape[-1] < 1:",
+           ("test_analysis.py", "test_batch.py")),
+    Mutant("mu-dt-leaves-dt-raw", "schemes.py",
+           "    dt = np.asarray(dt, dtype=float)\n",
+           "",
+           ("test_stability.py",)),
     Mutant("milstein-scanned-at-block-pole", "stability.py",
            '"milstein": (milstein_amplification, None)',
            '"milstein": (milstein_amplification, "block system")',

@@ -39,6 +39,7 @@ import time
 import numpy as np
 import pytest
 
+from exact_stability import paper_quotient
 from qpisde import (GbmParams, SchemeId, convergence_study,
                     generate_path, integrate, local_error_study, mix_seed,
                     qpi_block_solve_oracle, qpi_exact_amplification, qpi_paper_lhs)
@@ -146,21 +147,12 @@ def test_criterion_4_scheme_ordering(convergence_table):
 
 
 def test_criterion_5_stability_condition_values():
-    def reference(mu, sigma, dt):
-        h = mu * dt
-        num = (abs(1 + 2 * h / 3 - h**3 / 9) ** 2
-               + dt * abs(sigma * (1 - h + 2 * h**2 / 9)) ** 2
-               + dt * abs(sigma * (4 * h / 3) * (1 - h / 3)) ** 2
-               + dt * abs(sigma**2 * (4 * h / 3) * (1 - h / 3)
-                          * (1 - h + 2 * h**2 / 9)))
-        return num / (abs(1 - h + h**2 / 3) ** 2 * abs(1 - h / 3) ** 2)
-
     stable_ok = all(qpi_paper_lhs(-1.0, 0.5, 2.0**-k) < 1.0 for k in range(1, 9))
     unstable_ok = qpi_paper_lhs(1.0, 0.5, 0.5) > 1.0
     v_stable = qpi_paper_lhs(-1.0, 0.5, 0.5)
     v_unstable = qpi_paper_lhs(1.0, 0.5, 0.5)
-    anchors_ok = (abs(v_stable - reference(-1.0, 0.5, 0.5)) <= 1e-3 * v_stable
-                  and abs(v_unstable - reference(1.0, 0.5, 0.5)) <= 1e-3 * v_unstable
+    anchors_ok = (abs(v_stable - paper_quotient(-1.0, 0.5, 0.5)) <= 1e-3 * v_stable
+                  and abs(v_unstable - paper_quotient(1.0, 0.5, 0.5)) <= 1e-3 * v_unstable
                   and v_stable == pytest.approx(0.2909, rel=1e-3)
                   and v_unstable == pytest.approx(7.857, rel=1e-3))
     ok = stable_ok and unstable_ok and anchors_ok

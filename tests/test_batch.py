@@ -157,6 +157,17 @@ def test_closed_form_agrees_with_oracle(h, dt, sigma, za, zb):
     assert beta == pytest.approx(o_beta, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (3, 1)], ids=["0-d", "one-node", "rows"])
+def test_node_array_kernels_need_two_nodes(shape):
+    # every kernel that reads N from the last axis gives the same error for no step
+    p, w = GbmParams(mu=-1.0, sigma=0.5), np.zeros(shape)
+    calls = [lambda: exact_solution(p, 1.0, w), lambda: integrate("em", p, 1.0, w),
+             lambda: error_norms(w, w), lambda: coarsen(w, 1)]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match=r"at least two nodes \(step count >= 1\)"):
+            call()
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds=SEEDS, a=st.integers(1, 4), b=st.integers(1, 4), m=st.integers(1, 4))
 def test_coarsen_commutes_on_rows(seeds, a, b, m):

@@ -90,6 +90,12 @@ def test_coarsen_invalid_factor():
         coarsen(p, 0)
 
 
+def test_coarsen_of_float64_paths_is_a_view():
+    fine = generate_path([1, 2], 1.0, 8)
+    coarse = coarsen(fine, 2)
+    assert np.shares_memory(coarse, fine) and np.array_equal(coarse, fine[:, ::2])
+
+
 def test_node_values_examples():
     assert np.array_equal(path_from_increments([0.5]), [0.0, 0.5])
     nv = path_from_increments([0.1, -0.1])

@@ -1,3 +1,4 @@
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -192,6 +193,14 @@ class TestConditionsBroadcast:
         for j in range(len(self.DT)):
             assert bits(out[j]) == bits(fn(np.array([-1.0]), 0.5, self.DT[j:j + 1])[0])
 
+    def test_lists_equal_arrays(self, fn):
+        # a list mu or dt gives the ndarray call's bits: each factor converts both once
+        ref = fn(self.MU[:, None], 0.5, self.DT)
+        for mu in (self.MU[:, None], self.MU[:, None].tolist()):
+            for dt in (self.DT, self.DT.tolist()):
+                assert np.array_equal(bits(fn(mu, 0.5, dt)), bits(ref))
+        assert np.array_equal(bits(fn(-1.0, 0.5, self.DT.tolist())), bits(fn(-1.0, 0.5, self.DT)))
+
     def test_outer_grid(self, fn):
         out = fn(self.MU[:, None], 0.5, self.DT[None, :])
         assert out.shape == (len(self.MU), len(self.DT))
@@ -385,8 +394,18 @@ def test_scan_independent_of_block_size(rows, monkeypatch):
     assert all(np.isnan(reference[c].lhs).any() for c in ("qpi-paper", "qpi-exact", "iem"))
     # the mu = 0 row is finite at dt = 1e200, the mu = 1 row overflows in its own block
     monkeypatch.setattr(model, "_BATCH_VALUES", 4 * 2)
-    with pytest.raises(InvalidInputError, match="overflowed"), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(InvalidInputError, match="overflowed"):
         region_scan("qpi-paper", 0.5, (0.0, 1.0), (0.01, 1e200), 2)
+
+
+@pytest.mark.parametrize("condition", ["qpi-paper", "qpi-exact", "milstein"])
+def test_scan_overflow_raises_only_the_scan_error(condition):
+    # the scan's finite check is the one report: numpy's overflow warning, an error
+    # here, must not come first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflowed"):
+            region_scan(condition, 0.5, (-1e300, 1e300), (0.1, 1.0), 3)
 
 
 def scan_reference(condition, sigma, mu_axis, dt_axis):
