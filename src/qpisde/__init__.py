@@ -11,7 +11,7 @@ _EXPORTS = {name: module for module, names in (
     ("analysis", "ConvergenceTable ErrorReport LocalErrorReport convergence_study error_norms local_error_study"),
     ("brownian", "coarsen generate_path mix_seed"),
     ("model", "GbmParams InvalidInputError QpisdeError SingularStepError exact_solution"),
-    ("schemes", "QpiBlockCoeffs SchemeId integrate qpi_block_solve_oracle"),
+    ("schemes", "SchemeId integrate"),
     ("stability", "RegionGrid iem_amplification milstein_amplification qpi_exact_amplification qpi_paper_lhs "
                   "region_scan region_to_csv region_to_svg"),
 ) for name in names.split()}

@@ -77,7 +77,7 @@ def _count(n, what: str, least: int = 1) -> int:
 
 
 def _nodes(w):
-    """w as a float array of node values on its last axis, and its step count N: the one check of a node array."""
+    """The one check of a node array w: w as floats and N from its last axis; no finiteness check (nan in, nan out)."""
     w = np.asarray(w, dtype=float)
     if w.ndim == 0 or w.shape[-1] < 2:
         raise InvalidInputError(f"a node array needs at least two nodes (step count >= 1), got shape {w.shape}")

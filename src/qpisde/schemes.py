@@ -59,11 +59,14 @@ def _nonzero(step, h):
 
 
 def _mu_dt(mu, dt):
-    """(h = mu*dt, dt) as float arrays from scalars, lists or arrays, once every dt is finite and > 0."""
-    dt = np.asarray(dt, dtype=float)
+    """(h = mu*dt, dt) as float arrays from scalars, lists or arrays, once dt is finite, > 0 and broadcasts with mu."""
+    mu, dt = np.asarray(mu, dtype=float), np.asarray(dt, dtype=float)
     if not (np.isfinite(dt) & np.greater(dt, 0)).all():
         raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
-    return np.asarray(mu, dtype=float) * dt, dt
+    try:
+        return mu * dt, dt
+    except ValueError:
+        raise InvalidInputError(f"mu and dt must broadcast together, got shapes {mu.shape} and {dt.shape}") from None
 
 
 def _qpi_denominators(h):

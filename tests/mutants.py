@@ -147,8 +147,13 @@ MUTANTS = (
            "if w.ndim == 0 or w.shape[-1] < 1:",
            ("test_analysis.py", "test_batch.py")),
     Mutant("mu-dt-leaves-dt-raw", "schemes.py",
-           "    dt = np.asarray(dt, dtype=float)\n",
-           "",
+           "    mu, dt = np.asarray(mu, dtype=float), np.asarray(dt, dtype=float)\n",
+           "    mu = np.asarray(mu, dtype=float)\n",
+           ("test_stability.py",)),
+    Mutant("mu-dt-broadcast-unchecked", "schemes.py",
+           "    try:\n        return mu * dt, dt\n    except ValueError:\n        raise InvalidInputError(f\"mu and dt must "
+           "broadcast together, got shapes {mu.shape} and {dt.shape}\") from None\n",
+           "    return mu * dt, dt\n",
            ("test_stability.py",)),
     Mutant("milstein-scanned-at-block-pole", "stability.py",
            '"milstein": (milstein_amplification, None)',

@@ -42,9 +42,9 @@ import pytest
 from exact_stability import paper_quotient
 from qpisde import (GbmParams, SchemeId, convergence_study,
                     generate_path, integrate, local_error_study, mix_seed,
-                    qpi_block_solve_oracle, qpi_exact_amplification, qpi_paper_lhs)
+                    qpi_exact_amplification, qpi_paper_lhs)
 from qpisde.cli import main
-from qpisde.schemes import _qpi_alpha_beta
+from qpisde.schemes import _qpi_alpha_beta, qpi_block_solve_oracle
 
 P = GbmParams(mu=-1.0, sigma=0.5)
 MASTER_SEED = 7

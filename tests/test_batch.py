@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from qpisde import (GbmParams, InvalidInputError, SchemeId, analysis, brownian, coarsen,
                     convergence_study, error_norms, exact_solution,
-                    generate_path, integrate, mix_seed, model, qpi_block_solve_oracle)
-from qpisde.schemes import _qpi_alpha_beta
+                    generate_path, integrate, mix_seed, model)
+from qpisde.schemes import _qpi_alpha_beta, qpi_block_solve_oracle
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
 # mu*dt <= 1/2 keeps every scheme away from its singular step

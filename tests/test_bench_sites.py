@@ -4,13 +4,18 @@
 lists it, and skips a module that has no attribute of that name without a word,
 so a function that moved or was renamed would read 0 calls and no run would
 flag it. The table is read from the source; nothing under `bench/` is run or
-edited. The tests skip when the checkout has no `bench/`.
+edited. The ensemble check in `bench/workloads.py` also calls
+`qpisde.schemes.qpi_block_solve_oracle` and reads the pair it returns through
+`.alpha` and `.beta`, so the oracle keeps returning a named pair until the
+bench reads it some other way. The tests skip when the checkout has no `bench/`.
 """
 
 import ast
 import importlib
 import pathlib
+import types
 
+import numpy as np
 import pytest
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -40,3 +45,14 @@ def test_every_site_that_holds_the_name_holds_the_same_function(name):
     _, attr, fn = _home(name)
     for site in SITES[name]:
         assert getattr(importlib.import_module(site), attr, fn) is fn, site
+
+
+def test_the_oracle_returns_the_pair_the_ensemble_check_reads():
+    from qpisde.schemes import qpi_block_solve_oracle
+
+    # called as the ensemble check calls it: a namespace for the params, numpy floats for the increments
+    pair = qpi_block_solve_oracle(types.SimpleNamespace(mu=-1.0, sigma=0.5), 1.0 / 512,
+                                  np.float64(0.03), np.float64(-0.02))
+    alpha, beta = pair
+    assert alpha != beta  # so a pair whose names are swapped fails below
+    assert (pair.alpha, pair.beta) == (alpha, beta)

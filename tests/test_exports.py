@@ -12,12 +12,12 @@ import qpisde
 
 NAMES = [
     "ConvergenceTable", "ErrorReport", "GbmParams",
-    "InvalidInputError", "LocalErrorReport", "QpiBlockCoeffs", "QpisdeError",
+    "InvalidInputError", "LocalErrorReport", "QpisdeError",
     "RegionGrid", "SchemeId", "SingularStepError",
     "coarsen", "convergence_study", "error_norms",
     "exact_solution", "generate_path", "iem_amplification",
     "integrate", "local_error_study", "milstein_amplification", "mix_seed",
-    "qpi_block_solve_oracle", "qpi_exact_amplification", "qpi_paper_lhs",
+    "qpi_exact_amplification", "qpi_paper_lhs",
     "region_scan", "region_to_csv", "region_to_svg",
 ]
 
@@ -32,6 +32,14 @@ def test_name_is_the_object_its_home_module_defines(name):
     home = importlib.import_module(f"qpisde.{qpisde._EXPORTS[name]}")
     assert getattr(qpisde, name) is getattr(home, name)
     assert getattr(home, name).__module__ == home.__name__
+
+
+@pytest.mark.parametrize("name", ["QpiBlockCoeffs", "qpi_block_solve_oracle"])
+def test_the_block_solve_oracle_is_a_check_not_a_public_name(name):
+    # tests and the bench import it from its home module
+    assert getattr(importlib.import_module("qpisde.schemes"), name).__module__ == "qpisde.schemes"
+    with pytest.raises(AttributeError, match=f"module 'qpisde' has no attribute '{name}'"):
+        getattr(qpisde, name)
 
 
 def test_unknown_name_is_no_attribute():

@@ -6,9 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpisde import (GbmParams, InvalidInputError, SchemeId, SingularStepError,
-                    exact_solution, generate_path, integrate, mix_seed,
-                    qpi_block_solve_oracle)
-from qpisde.schemes import _DIVISORS, _qpi_alpha_beta
+                    exact_solution, generate_path, integrate, mix_seed)
+from qpisde.schemes import _DIVISORS, _qpi_alpha_beta, qpi_block_solve_oracle
 
 P = GbmParams(mu=-1.0, sigma=0.5)
 

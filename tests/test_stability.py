@@ -201,6 +201,13 @@ class TestConditionsBroadcast:
                 assert np.array_equal(bits(fn(mu, 0.5, dt)), bits(ref))
         assert np.array_equal(bits(fn(-1.0, 0.5, self.DT.tolist())), bits(fn(-1.0, 0.5, self.DT)))
 
+    def test_shapes_that_do_not_broadcast_raise(self, fn):
+        with pytest.raises(InvalidInputError,
+                           match=r"^mu and dt must broadcast together, got shapes \(2,\) and \(3,\)$"):
+            fn(self.MU[:2].tolist(), 0.5, self.DT.tolist())
+        with pytest.raises(InvalidInputError, match="dt must be finite and > 0"):  # the dt check comes first
+            fn(self.MU[:2], 0.5, -self.DT)
+
     def test_outer_grid(self, fn):
         out = fn(self.MU[:, None], 0.5, self.DT[None, :])
         assert out.shape == (len(self.MU), len(self.DT))
@@ -443,8 +450,11 @@ def singular_scans(draw):
 
 class TestScanMatchesPerCellReference:
     # a column holding the singular cell mu*dt = 3; a scalar evaluation of
-    # that column prints mu = 13.3 one ulp away from the array value
+    # that column prints mu = 13.3 one ulp away from the array value. The
+    # milstein case holds the block's pole in a scan that has no singular set.
     @example(condition="qpi-paper", sigma=0.5,
+             scan=(46, (-42.9, 13.3), (3.698630136986274, 4.698630136986274)))
+    @example(condition="milstein", sigma=0.5,
              scan=(46, (-42.9, 13.3), (3.698630136986274, 4.698630136986274)))
     @settings(max_examples=100, deadline=None)
     @given(condition=st.sampled_from(sorted(CONDITION_FNS)), sigma=st.floats(0.0, 2.0),
