@@ -58,11 +58,15 @@ def _nonzero(step, h):
     return d
 
 
-def _mu_dt(mu, dt):
-    """(h = mu*dt, dt) as float arrays from scalars, lists or arrays, once dt is finite, > 0 and broadcasts with mu."""
+def _mu_dt(mu, sigma, dt):
+    """(h = mu*dt, dt) as float arrays, under the stability layer's one input rule: sigma a scalar by GbmParams'
+    rule (finite, >= 0), mu finite, dt finite and > 0, mu broadcasting with dt; an error names the first bad value."""
+    GbmParams(0.0, sigma)
     mu, dt = np.asarray(mu, dtype=float), np.asarray(dt, dtype=float)
-    if not (np.isfinite(dt) & np.greater(dt, 0)).all():
-        raise InvalidInputError(f"dt must be finite and > 0, got {dt}")
+    for rule, v, ok in (("mu must be finite", mu, np.isfinite(mu)),
+                        ("dt must be finite and > 0", dt, np.isfinite(dt) & np.greater(dt, 0))):
+        if not ok.all():
+            raise InvalidInputError(f"{rule}, got {v[~ok].flat[0]}")
     try:
         return mu * dt, dt
     except ValueError:
@@ -112,8 +116,7 @@ def qpi_block_solve_oracle(params: GbmParams, dt: float, dWa: float, dWb: float)
 
     Kept independent of the closed form; used to cross-check it in tests.
     """
-    h = float(_mu_dt(params.mu, dt)[0])
-    s = params.sigma
+    h, s = float(_mu_dt(params.mu, params.sigma, dt)[0]), params.sigma
     _nonzero("block system", h)  # singularity guard only; the solve below is independent
     m = np.array([[1.0 - 2.0 * h / 3.0, h / 12.0],
                   [-4.0 * h / 3.0, 1.0 - h / 3.0]])

@@ -22,7 +22,7 @@ from itertools import compress
 
 import numpy as np
 
-from .model import GbmParams, InvalidInputError, _block_rows, _count
+from .model import InvalidInputError, _block_rows, _count
 from .schemes import _DIVISORS, _mu_dt, _nonzero, _qpi_denominators
 
 _SVG_WIDTH, _SVG_HEIGHT = 640, 480  # region_to_svg's document size in pixels
@@ -37,7 +37,7 @@ def qpi_paper_lhs(mu: float, sigma: float, dt: float):
 
     Accepts scalars or broadcastable arrays.
     """
-    h, dt = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, sigma, dt)
     s2 = sigma * sigma
     d1, d2 = _qpi_denominators(h)
     a1 = 1.0 + 2.0 * h / 3.0 - h**3 / 9.0
@@ -56,7 +56,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
     beta = A + B*dWa + C*dWb with dWa, dWb independent N(0, dt); A, B, C
     follow from the closed-form block coefficients.
     """
-    h, dt = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, sigma, dt)
     s = sigma
     d1, d2 = _qpi_denominators(h)
     a0 = (1.0 - h * h / 6.0) / d1
@@ -70,7 +70,7 @@ def qpi_exact_amplification(mu: float, sigma: float, dt: float):
 
 def iem_amplification(mu: float, sigma: float, dt: float):
     """Per-step second-moment factor of drift-implicit EM: (1+sigma^2 dt)/(1-mu dt)^2."""
-    h, dt = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, sigma, dt)
     num, den = 1.0 + sigma * sigma * dt, _nonzero("implicit EM step", h)
     with np.errstate(over="ignore"):  # den^2 is inf for |1 - mu*dt| > ~1.3e154
         den2 = den * den
@@ -83,7 +83,7 @@ def milstein_amplification(mu: float, sigma: float, dt: float):
     Identical for both sign conventions, so it covers the scheme ids `milstein`
     and `milstein-paper`: the correction is orthogonal to dW, its square sign-free.
     """
-    h, dt = _mu_dt(mu, dt)
+    h, dt = _mu_dt(mu, sigma, dt)
     # np.float64 ** gives inf on overflow where float ** raises
     return _value((1.0 + h)**2 + sigma * sigma * dt + 0.5 * np.float64(sigma)**4 * dt * dt)
 
@@ -117,25 +117,22 @@ def region_scan(condition: str, sigma: float, mu_range, dt_range,
                 resolution: int) -> RegionGrid:
     """Scan the stability condition over a rectangle of the (mu, dt) plane.
 
-    mu_range and dt_range are (low, high) pairs with a finite span high - low,
-    which keeps every axis value finite; resolution is the number of samples
-    per axis (>= 2). Cells whose mu*dt is in the condition's singular set (where
-    its function raises SingularStepError) get lhs = nan and are unstable. The
-    condition is evaluated elementwise per block of mu rows (region_to_csv's chunk)
-    with the regular stand-in mu = 0 at singular cells, so no value depends on
-    its neighbours; an overflow at a regular cell raises InvalidInputError, never a warning.
+    mu_range and dt_range are (low, high) pairs with a finite span high - low, which keeps every axis
+    value finite, and resolution (>= 2) is the number of samples per axis; these are checked first, then
+    sigma and dt by the factors' one rule (schemes._mu_dt) in the first block's call. Cells whose mu*dt
+    is in the condition's singular set (where its function raises SingularStepError) get lhs = nan and
+    are unstable. The condition is evaluated elementwise per block of mu rows (region_to_csv's chunk)
+    with the regular stand-in mu = 0 at singular cells, so no value depends on its neighbours; an
+    overflow at a regular cell raises InvalidInputError, never a warning.
     """
     if condition not in _CONDITIONS:
         raise InvalidInputError(
             f"unknown condition {condition!r}; expected one of {', '.join(_CONDITIONS)}")
-    GbmParams(0.0, sigma)  # sigma's rule: finite and >= 0
     mu_lo, mu_hi = float(mu_range[0]), float(mu_range[1])
     dt_lo, dt_hi = float(dt_range[0]), float(dt_range[1])
     if not (0 < mu_hi - mu_lo < np.inf and 0 < dt_hi - dt_lo < np.inf):
         raise InvalidInputError("ranges must be nonempty intervals (low < high) with a finite "
                                 f"span, got mu {mu_lo}:{mu_hi}, dt {dt_lo}:{dt_hi}")
-    if dt_lo <= 0:
-        raise InvalidInputError(f"dt range must be positive, got low = {dt_lo}")
     resolution = _count(resolution, "resolution", 2)
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     dt_axis = np.linspace(dt_lo, dt_hi, resolution)

@@ -155,6 +155,14 @@ MUTANTS = (
            "broadcast together, got shapes {mu.shape} and {dt.shape}\") from None\n",
            "    return mu * dt, dt\n",
            ("test_stability.py",)),
+    Mutant("mu-dt-sigma-unchecked", "schemes.py",
+           "    GbmParams(0.0, sigma)\n",
+           "",
+           ("test_stability.py", "test_schemes.py")),
+    Mutant("mu-dt-mu-unchecked", "schemes.py",
+           '("mu must be finite", mu, np.isfinite(mu))',
+           '("mu must be finite", mu, np.isfinite(mu) | True)',
+           ("test_stability.py", "test_schemes.py")),
     Mutant("milstein-scanned-at-block-pole", "stability.py",
            '"milstein": (milstein_amplification, None)',
            '"milstein": (milstein_amplification, "block system")',

@@ -339,6 +339,8 @@ class TestInputContract:
         (["local-error", "--sigma", "1e308", "--samples", "10"], None, "overflowed to inf"),
         (["stability", "--sigma", "1e308", "--scheme", "milstein", "--grid", "3"], None,
          "overflowed to inf"),
+        # a non-positive dt is the factors' rule, checked in region_scan's first block
+        (["stability", "--dt-range", "-1:1", "--grid", "2"], None, "error: dt must be finite and > 0, got -1.0\n"),
     ], ids=["n-list-word", "n-list-fraction", "n-list-zero", "range-word", "range-three-parts",
             "n-list-empty-item", "n-list-trailing-comma", "dt-list-empty-item", "config-word",
             "config-unknown-key", "sigma-nan", "sigma-negative", "sigma-inf", "mu-range-overflow",
@@ -349,7 +351,8 @@ class TestInputContract:
             "converge-n-prefix", "simulate-path-prefix", "removed-milstein-sign",
             "config-removed-milstein-sign", "local-error-sample-prefix",
             "converge-paths-zero", "local-error-samples-zero", "stability-grid-one",
-            "simulate-n-zero", "converge-sigma-overflow", "local-error-sigma-overflow", "milstein-sigma-overflow"])
+            "simulate-n-zero", "converge-sigma-overflow", "local-error-sigma-overflow", "milstein-sigma-overflow",
+            "dt-range-negative-low"])
     def test_malformed_input_exits_2(self, argv, config, named, tmp_path, capsys):
         out = tmp_path / "out.csv"
         if config is not None:

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -196,6 +197,19 @@ class TestQpiBlock:
         # a nan or inf dt would give alpha = beta = nan and make any comparison vacuous
         with pytest.raises(InvalidInputError, match="finite and > 0"):
             qpi_block_solve_oracle(P, dt, 0.1, -0.2)
+
+    @pytest.mark.parametrize("mu,sigma,message", [
+        (-1.0, -0.5, "sigma must be >= 0, got -0.5"),
+        (-1.0, math.nan, "sigma must be finite, got nan"),
+        (-1.0, math.inf, "sigma must be finite, got inf"),
+        (math.inf, 0.5, "mu must be finite, got inf"),
+        (math.nan, 0.5, "mu must be finite, got nan"),
+    ], ids=["sigma-negative", "sigma-nan", "sigma-inf", "mu-inf", "mu-nan"])
+    def test_oracle_rejects_sigma_and_mu_off_their_rule(self, mu, sigma, message):
+        # a plain namespace, as the bench's ensemble check passes, bypasses GbmParams' own check
+        with pytest.raises(InvalidInputError) as err:
+            qpi_block_solve_oracle(types.SimpleNamespace(mu=mu, sigma=sigma), 0.1, 0.1, -0.2)
+        assert str(err.value) == message
 
 
 class TestIntegrate:

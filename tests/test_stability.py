@@ -224,6 +224,31 @@ def test_conditions_reject_dt_not_finite_and_positive(fn, dt):
         fn(-1.0, 0.5, dt)
 
 
+# sigma by GbmParams' rule and messages, mu finite; an array's message names its first bad entry
+@pytest.mark.parametrize("mu,sigma,message", [
+    (-1.0, -0.5, "sigma must be >= 0, got -0.5"),
+    (-1.0, np.nan, "sigma must be finite, got nan"),
+    (-1.0, np.inf, "sigma must be finite, got inf"),
+    (np.inf, 0.5, "mu must be finite, got inf"),
+    (np.nan, 0.5, "mu must be finite, got nan"),
+    ([-1.0, -np.inf, np.nan], 0.5, "mu must be finite, got -inf"),
+], ids=["sigma-negative", "sigma-nan", "sigma-inf", "mu-inf", "mu-nan", "mu-array"])
+@pytest.mark.parametrize("fn", CONDITION_FNS.values(), ids=CONDITION_FNS.keys())
+def test_conditions_reject_sigma_and_mu_off_their_rule(fn, mu, sigma, message):
+    with pytest.raises(InvalidInputError) as err:
+        fn(mu, sigma, 0.1)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fn", CONDITION_FNS.values(), ids=CONDITION_FNS.keys())
+def test_a_bad_dt_entry_is_named_in_one_line(fn):
+    dt = np.linspace(0.01, 1.0, 203)
+    dt[150] = -0.2
+    with pytest.raises(InvalidInputError) as err:
+        fn(-1.0, 0.5, dt)
+    assert str(err.value) == "dt must be finite and > 0, got -0.2"
+
+
 class TestEvaluateAndScan:
     def test_scan_zero_drift_row_unstable(self):
         for cond in ("qpi-paper", "qpi-exact"):
@@ -249,18 +274,25 @@ class TestEvaluateAndScan:
         with pytest.raises(InvalidInputError):
             region_scan("iem", 0.5, (1.0, -1.0), (0.1, 1.0), 10)
         with pytest.raises(InvalidInputError):
-            region_scan("iem", 0.5, (-1.0, 1.0), (-0.1, 1.0), 10)
-        with pytest.raises(InvalidInputError):
             region_scan("iem", 0.5, (-1.0, 1.0), (0.1, 1.0), 1)
         with pytest.raises(InvalidInputError):
             region_scan("bogus", 0.5, (-1.0, 1.0), (0.1, 1.0), 10)
-        for sigma in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(InvalidInputError, match="sigma"):
-                region_scan("iem", sigma, (-1.0, 1.0), (0.1, 1.0), 10)
         for mu_range, dt_range in [((-1e308, 1e308), (0.1, 1.0)), ((float("nan"), 1.0), (0.1, 1.0)),
                                    ((-1.0, 1.0), (0.1, float("inf")))]:
             with pytest.raises(InvalidInputError, match="finite"):
                 region_scan("iem", 0.5, mu_range, dt_range, 10)
+
+    @pytest.mark.parametrize("condition", CONDITION_FNS)
+    def test_scan_checks_sigma_and_dt_by_the_factors_rule(self, condition):
+        # the ranges pass their own check; the first block's factor call then rejects sigma or dt
+        for sigma, dt_range, message in [(-1.0, (0.1, 1.0), "sigma must be >= 0, got -1.0"),
+                                         (np.nan, (0.1, 1.0), "sigma must be finite, got nan"),
+                                         (np.inf, (0.1, 1.0), "sigma must be finite, got inf"),
+                                         (0.5, (0.0, 1.0), "dt must be finite and > 0, got 0.0"),
+                                         (0.5, (-0.1, 1.0), "dt must be finite and > 0, got -0.1")]:
+            with pytest.raises(InvalidInputError) as err:
+                region_scan(condition, sigma, (-1.0, 1.0), dt_range, 10)
+            assert str(err.value) == message
 
     def test_scan_singular_point_marked_unstable(self):
         # iem singular at mu*dt = 1: mu=2, dt=0.5 lies on this grid
